@@ -9,6 +9,7 @@ with the population values), since sample digits depend on a random draw that
 the reference tables do not pin down.
 """
 
+import hashlib
 import math
 import time
 
@@ -26,6 +27,61 @@ GRID = reference.PREVALENCE_GRID
 SEED = 42
 N = 10_000
 INTERIOR = [j for j, q in enumerate(GRID) if 0.1 <= q <= 0.9]
+
+# SHA-256 of the '<f8' feature bytes and the class-0 count of every seed-42,
+# N=10,000 dataset behind the sample panels: the training sample first, then
+# one dataset per grid prevalence.  Recorded with the scalar sampler; any change
+# to the stream format or the sampling order changes them.
+GOLDEN_DATASETS = {
+    "prior_shift": (
+        ("3c70836e943e9ad05152a0055b8a6e337ed218e61a94e066de9440c48221dee3", 5000),
+        ("357ed039dc9275c1ff574ab0f792eb4a29b518e4886e4580bee2c011865aed5b", 100),
+        ("4ef39d89fc1db35c7e4602746b82b2a256f3396da7cc1e4824e0054afbf0e21d", 500),
+        ("fbe7ab90aa4e4ec45399cf36862d5288102ba8e3872a58ebcf5f52f853ee3474", 1000),
+        ("a562c0f773c5d0a656f39034bceff291f9cc71d8b787f666d580425f0dca5e29", 3000),
+        ("265cb7a460116d60fe9c37f35efde018c359dd4a56dcc582a138b6ec880e8671", 5000),
+        ("e02ca25e735bbc39c238d2c2157994cf017016e74eec90a300984912173a4bd4", 7000),
+        ("f54bc37d2587cf62787c7ba1255ee913dc66bf7e68afbfa672889ef90adebacf", 9000),
+        ("05e732dfb4a1a26259ba19ffb91ce0e1c57b9132247010c95afd3a22e54c4144", 9500),
+        ("1193d4dda1fc9172d18e9bbc3206dad169c0c074ca246ee88057b152244de5eb", 9900),
+    ),
+    "invariant_ratio": (
+        ("05138f46d888f44963049c0a0443a288bc4b482843d548f32728bb2109de85b4", 5000),
+        ("7df06ff0c434975200bea7ea9cc8348814301eb6aba06c842b1f5807e8e28b0e", 100),
+        ("c41fb89e1c31e01c9dfd5dddb203965e9f18fca8c4695b56710d807f73c435bb", 500),
+        ("fde79168e57af8b9a4752b3e6655d27926e0038e98f4459c327894c4a4e63f92", 1000),
+        ("49282c1af694953f9260dd465ff58d8c869ce913be7bda49bfbf134a9ee94386", 3000),
+        ("fff7c515e09c50784e1a8802a6b84db30cf9c6659d5c384f92c3a2c2a2d7bc57", 5000),
+        ("8f7c5601bacb7dfbec8ab2a73fa8e848acd53c8bc2567197c64e7121eb8d27db", 7000),
+        ("77cdbe75eebde246cd90c9182aa6f35dccf62c9b14387488ecdab0949d0c4154", 9000),
+        ("0ed31a7f4d2417dee94b3ca2d7af89f41d7b2db8cba53697215c3c52435471c7", 9500),
+        ("75c85af41146bae5a909c12072395409f57022ddad7980c5df1678e9a9205a2e", 9900),
+    ),
+    "sqrt_ratio": (
+        ("2faf711593483fbe6d155ee710658028a7985fecfaa4d5ae97e30099dcc8db8f", 5000),
+        ("c1053d32746fd1c6d57d7cf2a359bf4c2695bb70811f3fa430d39012ae38210f", 100),
+        ("99c4763b5e8e88a6da94bfcaebab51e082b8077b41b67abc22cfbcd84f2a8d61", 500),
+        ("c656f6a79f276b8230789639c7e202fd5da9432a6556313b5847e5ee1b190030", 1000),
+        ("66212cb487121a4bf30a8755df962094d349e2f4d7ad3993a23a47dcdfb32812", 3000),
+        ("49441f134b56f1bd5f6c0b540f55fe43cc18515b4b0bd0ae611c8abdf5f680d1", 5000),
+        ("3e3bd5cdb61fbb748ab04175f3d9c4803414fb61325f48247a8e8a8b32693e69", 7000),
+        ("50d9da88034b06c00c740348ca4d141b6993f15e1cd77474783ee2045433b79c", 9000),
+        ("aa08a9d4f233494b41b36f3311b32c81d947ec685994a26572d100562c152cf9", 9500),
+        ("d0e9beaed9f28b0a25e1b74c41feea2b0c83468fb98a2565f2ae1726e07d04f9", 9900),
+    ),
+}
+# First words and gaussians of RngStream(42, 0), each from a fresh stream.
+GOLDEN_WORDS = (
+    0x018eacd0d7271d43,
+    0x49c2fa96c80aec6a,
+    0xf8755861cd7197cf,
+    0x51e4e952ad0cc62e,
+    0x044d7a7438449c25,
+    0xd038951e068906dc,
+    0x1f4dada947d8eeae,
+    0x1d60dee85969bf76,
+)
+GOLDEN_GAUSSIANS = ("-0.7580428410519306", "3.10318987857567", "-0.1039836674575383", "0.2213404478286941")
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -110,6 +166,32 @@ def max_row_gap(got_rows, want_rows, overrides=None, scenario=None):
                 continue
             worst = max(worst, abs(got - want_value))
     return worst
+
+
+def _dataset_digest(dataset) -> tuple[str, int]:
+    features = np.ascontiguousarray(dataset.features, dtype="<f8")
+    return hashlib.sha256(features.tobytes()).hexdigest(), int(np.sum(dataset.labels == 0))
+
+
+def test_sampled_datasets_match_golden_digests(sample_run):
+    mismatched = []
+    for scenario, golden in GOLDEN_DATASETS.items():
+        data = sample_run["data"][scenario]
+        got = [_dataset_digest(d) for d in (data["train_sample"], *data["datasets"])]
+        labels = ("train", *(f"q={q:g}" for q in GRID))
+        mismatched += [f"{scenario} {label}" for label, g, w in zip(labels, got, golden) if g != w]
+    report(
+        "golden digests of the seed-42 sample datasets",
+        not mismatched,
+        f"{30 - len(mismatched)} of 30 match" + (f"; differ: {', '.join(mismatched)}" if mismatched else ""),
+    )
+
+
+def test_rng_stream_prefix_is_pinned():
+    words = qs.RngStream(SEED, 0)
+    gaussians = qs.RngStream(SEED, 0)
+    assert tuple(words.next_uint64() for _ in GOLDEN_WORDS) == GOLDEN_WORDS
+    assert tuple(repr(gaussians.next_gaussian()) for _ in GOLDEN_GAUSSIANS) == GOLDEN_GAUSSIANS
 
 
 def test_criterion_1_mixture_decomposition(train):
