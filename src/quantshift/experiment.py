@@ -42,6 +42,8 @@ ROW_LABELS = ("CDE1", "CDE2", "CDEinf", "ACC", "EM")
 # per grid cell.
 _SCENARIO_STRIDE = 1 << 16
 _REPETITION_STRIDE = 1 << 10
+_MAX_SAMPLE_CELLS = _REPETITION_STRIDE - 1
+_MAX_REPETITIONS = _SCENARIO_STRIDE // _REPETITION_STRIDE
 _SCENARIO_INDEX = {
     ShiftKind.PRIOR_SHIFT: 0,
     ShiftKind.INVARIANT_RATIO: 1,
@@ -112,6 +114,12 @@ class ExperimentConfig:
             raise ConfigError(f"outputs must be a non-empty subset of {OUTPUTS}")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be at least 1")
+        if "sample" in self.panels:
+            # larger grids or repetition counts would reuse another slot's stream
+            if len(self.test_prevalence_grid) > _MAX_SAMPLE_CELLS:
+                raise ConfigError(f"the sample panel supports at most {_MAX_SAMPLE_CELLS} grid cells")
+            if self.repetitions > _MAX_REPETITIONS:
+                raise ConfigError(f"the sample panel supports at most {_MAX_REPETITIONS} repetitions")
         if self.cde_max_iter < 2:
             raise ConfigError("cde_max_iter must be at least 2")
         if self.cde_tol <= 0:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Protocol
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -93,6 +93,37 @@ class DensityRatio:
         return DensityRatio(0.5 * self.log_slope, 0.5 * self.log_offset)
 
 
+class Sampler(Protocol):
+    """Draws independent values of one class-conditional distribution.
+
+    ``draw`` writes ``n`` values to ``out`` when it is given (so callers can
+    fill a slice of a larger array without a temporary copy) and returns them.
+    """
+
+    def draw(self, stream: RngStream, n: int, out: np.ndarray | None = None) -> np.ndarray: ...
+
+
+@dataclass(frozen=True, slots=True)
+class NormalSampler:
+    """Exact N(mean, sd^2) draws from the stream's Box-Muller gaussians.
+
+    Calling the sampler gives one draw; ``draw`` gives ``n`` draws, identical
+    to ``n`` calls.
+    """
+
+    mean: float
+    sd: float
+
+    def __call__(self, stream: RngStream) -> float:
+        return self.mean + self.sd * stream.next_gaussian()
+
+    def draw(self, stream: RngStream, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        values = stream.gaussians(n, out)
+        values *= self.sd
+        values += self.mean
+        return values
+
+
 @dataclass(frozen=True)
 class PopulationModel:
     """A pair of class-conditional feature densities plus a class-0 prevalence.
@@ -101,8 +132,8 @@ class PopulationModel:
     (analytic for normal conditionals, quadrature-backed otherwise).
     ``support`` is the window outside which both densities are numerically
     negligible; population integrals run over it.  ``ratio`` is the analytic
-    f0/f1 when known, and ``sampler0``/``sampler1`` draw single values from
-    the class conditionals.
+    f0/f1 when known, and ``sampler0``/``sampler1`` draw values from the class
+    conditionals.
     """
 
     f0: Density
@@ -112,8 +143,8 @@ class PopulationModel:
     prevalence0: float
     support: tuple[float, float]
     ratio: DensityRatio | None = None
-    sampler0: Callable[[RngStream], float] | None = field(default=None, repr=False)
-    sampler1: Callable[[RngStream], float] | None = field(default=None, repr=False)
+    sampler0: Sampler | None = field(default=None, repr=False)
+    sampler1: Sampler | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.prevalence0 < 1.0:
@@ -175,8 +206,8 @@ def binormal_population(params: BinormalParams, prevalence0: float) -> Populatio
         prevalence0=prevalence0,
         support=(mu - pad, nu + pad),
         ratio=ratio,
-        sampler0=lambda stream: mu + sigma * stream.next_gaussian(),
-        sampler1=lambda stream: nu + sigma * stream.next_gaussian(),
+        sampler0=NormalSampler(mu, sigma),
+        sampler1=NormalSampler(nu, sigma),
     )
 
 

@@ -3,7 +3,8 @@ and seeded random-number streams.
 
 Everything in this module is pure given its inputs.  The random stream is a
 small explicit generator (splitmix64) implemented here so that sampled results
-are bit-reproducible across platforms, independently of any library RNG.
+are bit-reproducible independently of any library RNG: uniforms on every
+platform, gaussians wherever libm's log/cos/sin agree.
 """
 
 from __future__ import annotations
@@ -160,6 +161,11 @@ def integrate_real_line(
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _INV_2_53 = 2.0 ** -53
+_TWO_PI = 2.0 * math.pi
+
+# Block methods work on at most this many Box-Muller pairs (twice as many
+# words) at a time, which bounds their temporary memory.
+_BLOCK_PAIRS = 4096
 
 
 def _mix64(z: int) -> int:
@@ -170,12 +176,30 @@ def _mix64(z: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer on uint64 arrays (wrapping, in place)."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _libm(fn, values: np.ndarray) -> np.ndarray:
+    # numpy's log/cos/sin are not guaranteed to round like the C library's,
+    # so the block path calls the same ``math`` functions as the scalar path
+    return np.fromiter(map(fn, values.tolist()), dtype=float, count=len(values))
+
+
 class RngStream:
     """Seeded, reproducible stream of uniforms and gaussians.
 
     A stream is a splitmix64 counter sequence whose starting state is derived
     from ``(seed, stream_id)``.  Identical pairs yield identical value
-    sequences on every platform.  Streams are cheap; give each logical
+    sequences (the gaussians wherever libm agrees; see the module docstring).
+    The block methods ``uniforms``/``gaussians`` give exactly the values of
+    the same number of scalar calls.  Streams are cheap; give each logical
     sampling task its own ``stream_id`` rather than sharing one stream.
     """
 
@@ -208,6 +232,57 @@ class RngStream:
             u1 = self.next_uniform()
         u2 = self.next_uniform()
         radius = math.sqrt(-2.0 * math.log(u1))
-        angle = 2.0 * math.pi * u2
+        angle = _TWO_PI * u2
         self._spare_gaussian = radius * math.sin(angle)
         return radius * math.cos(angle)
+
+    def _uniform_block(self, n: int) -> np.ndarray:
+        steps = np.arange(1, n + 1, dtype=np.uint64)
+        steps *= np.uint64(_GOLDEN)
+        steps += np.uint64(self._state)
+        self._state = (self._state + n * _GOLDEN) & _MASK64
+        return (_mix64_array(steps) >> np.uint64(11)).astype(float) * _INV_2_53
+
+    def uniforms(self, n: int) -> np.ndarray:
+        """The next ``n`` uniforms, identical to ``n`` calls of :meth:`next_uniform`."""
+        out = np.empty(n)
+        for start in range(0, n, 2 * _BLOCK_PAIRS):
+            stop = min(n, start + 2 * _BLOCK_PAIRS)
+            out[start:stop] = self._uniform_block(stop - start)
+        return out
+
+    def gaussians(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The next ``n`` gaussians, identical to ``n`` calls of :meth:`next_gaussian`.
+
+        The stream is left in the same state, pending spare included.  The
+        values are written to ``out`` (a float array of length ``n``) when
+        it is given, and returned.
+        """
+        out = np.empty(n) if out is None else out
+        start = 0
+        if n and self._spare_gaussian is not None:
+            out[0] = self.next_gaussian()
+            start = 1
+        for block in range(start, n, 2 * _BLOCK_PAIRS):
+            stop = min(n, block + 2 * _BLOCK_PAIRS)
+            out[block:stop] = self._gaussian_block(stop - block)
+        return out
+
+    def _gaussian_block(self, count: int) -> np.ndarray:
+        # called with no spare pending; an odd count leaves one
+        pairs = (count + 1) // 2
+        state = self._state
+        u = self._uniform_block(2 * pairs)
+        u1, u2 = u[0::2], u[1::2]
+        if not u1.all():
+            # the scalar loop redraws a zero u1, which shifts the pairing
+            self._state = state
+            return np.array([self.next_gaussian() for _ in range(count)])
+        radius = np.sqrt(-2.0 * _libm(math.log, u1))
+        angle = _TWO_PI * u2
+        values = np.empty(2 * pairs)
+        values[0::2] = radius * _libm(math.cos, angle)
+        values[1::2] = radius * _libm(math.sin, angle)
+        if count % 2:
+            self._spare_gaussian = float(values[-1])
+        return values[:count]

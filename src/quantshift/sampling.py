@@ -60,10 +60,8 @@ def stratified_sample(pop: PopulationModel, n: int, stream: RngStream) -> Labele
         raise ValueError("population model carries no class-conditional samplers")
     n0 = _round_half_up(n * pop.prevalence0)
     features = np.empty(n)
-    for i in range(n0):
-        features[i] = pop.sampler0(stream)
-    for i in range(n0, n):
-        features[i] = pop.sampler1(stream)
+    pop.sampler0.draw(stream, n0, features[:n0])
+    pop.sampler1.draw(stream, n - n0, features[n0:])
     labels = np.concatenate([np.zeros(n0, dtype=int), np.ones(n - n0, dtype=int)])
     return LabeledDataset(features, labels, (stream.seed, stream.stream_id))
 
@@ -91,18 +89,25 @@ def rejection_draw(
             return x
 
 
-def rejection_sampler(
-    target: Density,
-    candidate_sampler: Callable[[RngStream], float],
-    candidate_density: Density,
-    envelope_constant: float,
-) -> Callable[[RngStream], float]:
-    """Bind a single-draw accept-reject sampler for ``target``."""
+@dataclass(frozen=True)
+class RejectionSampler:
+    """Accept-reject draws from ``target`` with candidate proposals.
 
-    def sample(stream: RngStream) -> float:
-        return rejection_draw(target, candidate_sampler, candidate_density, envelope_constant, stream)
+    Requires target(x) <= envelope_constant * candidate_density(x) everywhere.
+    """
 
-    return sample
+    target: Density
+    candidate_sampler: Callable[[RngStream], float]
+    candidate_density: Density
+    envelope_constant: float
+
+    def draw(self, stream: RngStream, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.empty(n) if out is None else out
+        for i in range(n):
+            out[i] = rejection_draw(
+                self.target, self.candidate_sampler, self.candidate_density, self.envelope_constant, stream
+            )
+        return out
 
 
 def accept_reject_sample(
@@ -119,10 +124,7 @@ def accept_reject_sample(
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    out = np.empty(count)
-    for i in range(count):
-        out[i] = rejection_draw(target, candidate_sampler, candidate_density, M, stream)
-    return out
+    return RejectionSampler(target, candidate_sampler, candidate_density, M).draw(stream, count)
 
 
 def dataset_to_csv(dataset: LabeledDataset) -> str:

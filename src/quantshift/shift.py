@@ -19,13 +19,14 @@ from .models import (
     Density,
     DensityRatio,
     GridCdf,
+    NormalSampler,
     PopulationModel,
     TRUNCATION_HALFWIDTH,
     normal_pdf,
     posterior,
 )
 from .numerics import Bracket, find_root_bracketed, integrate_interval
-from .sampling import rejection_sampler
+from .sampling import RejectionSampler
 
 # Existence of an interior mixture weight requires both ratio moments to
 # exceed 1; borderline cases error out rather than silently clamp.
@@ -160,9 +161,7 @@ def make_test_population(scenario: ShiftScenario, cdf_cells: int = 2048) -> Popu
     support = envelope_support(scenario)
     q_star, h0, h1 = decompose_mixture(h_star, ratio, support)
 
-    def sample_h_star(stream) -> float:
-        return mean + sd * stream.next_gaussian()
-
+    proposal = NormalSampler(mean, sd)
     return PopulationModel(
         f0=h0,
         f1=h1,
@@ -171,8 +170,8 @@ def make_test_population(scenario: ShiftScenario, cdf_cells: int = 2048) -> Popu
         prevalence0=scenario.test_prevalence0,
         support=support,
         ratio=ratio,
-        sampler0=rejection_sampler(h0, sample_h_star, h_star, 1.0 / q_star),
-        sampler1=rejection_sampler(h1, sample_h_star, h_star, 1.0 / (1.0 - q_star)),
+        sampler0=RejectionSampler(h0, proposal, h_star, 1.0 / q_star),
+        sampler1=RejectionSampler(h1, proposal, h_star, 1.0 / (1.0 - q_star)),
     )
 
 

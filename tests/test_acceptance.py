@@ -175,16 +175,16 @@ def _dataset_digest(dataset) -> tuple[str, int]:
 
 def test_sampled_datasets_match_golden_digests(sample_run):
     mismatched = []
+    total = sum(len(golden) for golden in GOLDEN_DATASETS.values())
     for scenario, golden in GOLDEN_DATASETS.items():
         data = sample_run["data"][scenario]
         got = [_dataset_digest(d) for d in (data["train_sample"], *data["datasets"])]
         labels = ("train", *(f"q={q:g}" for q in GRID))
         mismatched += [f"{scenario} {label}" for label, g, w in zip(labels, got, golden) if g != w]
-    report(
-        "golden digests of the seed-42 sample datasets",
-        not mismatched,
-        f"{30 - len(mismatched)} of 30 match" + (f"; differ: {', '.join(mismatched)}" if mismatched else ""),
-    )
+    detail = f"{total - len(mismatched)} of {total} match"
+    if mismatched:
+        detail += f"; differ: {', '.join(mismatched)}"
+    report("golden digests of the seed-42 sample datasets", not mismatched, detail)
 
 
 def test_rng_stream_prefix_is_pinned():

@@ -70,6 +70,29 @@ def population_config(**overrides):
     return qs.ExperimentConfig(**base)
 
 
+class TestStreamCapacity:
+    # each repetition has 1,024 stream slots (training sample plus one per
+    # grid cell) and each scenario 64 repetitions
+    @staticmethod
+    def _grid(cells):
+        return tuple((j + 1) / (cells + 1) for j in range(cells))
+
+    def test_grid_cells_edge(self):
+        qs.ExperimentConfig(test_prevalence_grid=self._grid(1023)).validate()
+        with pytest.raises(qs.ConfigError, match="1023 grid cells"):
+            qs.ExperimentConfig(test_prevalence_grid=self._grid(1024)).validate()
+
+    def test_repetitions_edge(self):
+        qs.ExperimentConfig(repetitions=64).validate()
+        with pytest.raises(qs.ConfigError, match="64 repetitions"):
+            qs.ExperimentConfig(repetitions=65).validate()
+
+    def test_population_panel_has_no_stream_limit(self):
+        qs.ExperimentConfig(
+            test_prevalence_grid=self._grid(1024), repetitions=65, panels=("population",)
+        ).validate()
+
+
 class TestRunExperiment:
     def test_single_cell_no_shift_fixed_point(self):
         tables = qs.run_experiment(population_config(test_prevalence_grid=(0.5,)))

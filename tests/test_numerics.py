@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantshift.numerics import (
     Bracket,
@@ -9,10 +11,52 @@ from quantshift.numerics import (
     NoSignChange,
     QuadratureSpec,
     RngStream,
+    _mix64,
     find_root_bracketed,
     integrate_interval,
     integrate_real_line,
 )
+
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+BLOCK = 2 * 4096  # values per block of 4,096 Box-Muller pairs
+
+
+def _unxorshift(y: int, shift: int) -> int:
+    x = y
+    for _ in range(64 // shift + 1):
+        x = y ^ (x >> shift)
+    return x
+
+
+def _unmix64(z: int) -> int:
+    """Inverse of the splitmix64 finalizer: the state whose word is ``z``."""
+    z = _unxorshift(z, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & _MASK64
+    z = _unxorshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & _MASK64
+    return _unxorshift(z, 30)
+
+
+def _assert_block_matches_scalar(make_stream, n: int) -> None:
+    """Block draws from a fresh ``make_stream()`` equal n scalar draws from another."""
+    for one, many in (("next_uniform", "uniforms"), ("next_gaussian", "gaussians")):
+        scalar, block = make_stream(), make_stream()
+        expected = np.array([getattr(scalar, one)() for _ in range(n)], dtype=float)
+        got = getattr(block, many)(n)
+        assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
+        assert block._state == scalar._state
+        assert block._spare_gaussian == scalar._spare_gaussian
+
+
+def _stream(seed: int, stream_id: int = 0, pending_spare: bool = False, state: int | None = None):
+    stream = RngStream(seed, stream_id)
+    if state is not None:
+        stream._state = state
+    if pending_spare:
+        stream._spare_gaussian = 0.25
+    return stream
 
 
 def std_normal_pdf(x):
@@ -155,3 +199,32 @@ class TestRngStream:
             RngStream(-1)
         with pytest.raises(ValueError):
             RngStream(0, 1 << 64)
+
+
+class TestRngStreamBlocks:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, _MASK64),
+        stream_id=st.integers(0, _MASK64),
+        n=st.one_of(
+            st.integers(0, 9),
+            st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1]),
+            st.integers(0, 2 * BLOCK + 3),
+        ),
+        pending_spare=st.booleans(),
+    )
+    def test_blocks_equal_scalar_loop(self, seed, stream_id, n, pending_spare):
+        _assert_block_matches_scalar(lambda: _stream(seed, stream_id, pending_spare), n)
+
+    @pytest.mark.parametrize("pending_spare", [False, True])
+    def test_zero_u1_falls_back_to_scalar_loop(self, pending_spare):
+        # a word below 2**11 is the uniform 0.0; put one at the u1 slot of
+        # pair 100 of the second block
+        offset = 2 * (BLOCK // 2 + 100)
+        state = (_unmix64(1234) - (offset + 1) * _GOLDEN) & _MASK64
+        assert _stream(0, state=state).uniforms(offset + 1)[-1] == 0.0
+        _assert_block_matches_scalar(lambda: _stream(0, 0, pending_spare, state), 3 * BLOCK + 1)
+
+    def test_unmix_inverts_finalizer(self):
+        for word in (0, 1, 1234, _GOLDEN, _MASK64):
+            assert _mix64(_unmix64(word)) == word

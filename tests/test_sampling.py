@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import quantshift as qs
-from quantshift.models import normal_pdf
+from quantshift.models import NormalSampler, normal_pdf
 
 
 def ks_statistic(sample, cdf):
@@ -134,6 +134,23 @@ class TestAcceptReject:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             qs.accept_reject_sample(lambda x: x, lambda s: 0.0, lambda x: x, 1.0, -1, qs.RngStream(1, 0))
+
+
+class TestNormalSampler:
+    def test_block_equals_single_draws(self):
+        sampler = NormalSampler(0.5, 1.4)
+        single, block = qs.RngStream(6, 2), qs.RngStream(6, 2)
+        expected = np.array([sampler(single) for _ in range(101)])
+        assert sampler.draw(block, 101).tobytes() == expected.tobytes()
+        assert sampler(block) == sampler(single)
+
+    def test_block_fills_given_slice(self):
+        sampler = NormalSampler(0.5, 1.4)
+        expected = sampler.draw(qs.RngStream(6, 2), 101)
+        buffer = np.zeros(103)
+        sampler.draw(qs.RngStream(6, 2), 101, buffer[1:102])
+        assert buffer[1:102].tobytes() == expected.tobytes()
+        assert buffer[0] == buffer[102] == 0.0
 
 
 class TestCsvRoundTrip:
