@@ -24,6 +24,7 @@ from .experiment import (
     ConfigError,
     ExperimentConfig,
     ResultTable,
+    build_setup,
     density_grid_csv,
     emit_table,
     parse_config,
@@ -107,11 +108,11 @@ def _cmd_run(args) -> int:
     outdir = Path(args.outdir)
     all_tables: list[ResultTable] = []
     for config in configs:
-        config.validate()
-        tables = run_experiment(config)
+        setup = build_setup(config)
+        tables = run_experiment(config, setup)
         all_tables.extend(tables)
         _write_tables(tables, outdir, formats)
-        (outdir / f"{config.scenario.value}_densities.csv").write_text(density_grid_csv(config))
+        (outdir / f"{config.scenario.value}_densities.csv").write_text(density_grid_csv(setup))
         (outdir / f"{config.scenario.value}_results.json").write_text(
             tables_to_json(tables, config)
         )

@@ -328,13 +328,15 @@ _METRIC_TITLES = {
 }
 
 
-def run_experiment(config: ExperimentConfig) -> list[ResultTable]:
+def run_experiment(config: ExperimentConfig, setup: ScenarioSetup | None = None) -> list[ResultTable]:
     """Run one scenario over its grid and return all requested tables.
 
     Population panels are deterministic; sample panels are deterministic
-    given the seed.  Tables appear in (panel, output) order.
+    given the seed.  Tables appear in (panel, output) order.  A caller that
+    has already built ``build_setup(config)`` passes it as ``setup``.
     """
-    setup = build_setup(config)
+    if setup is None:
+        setup = build_setup(config)
     col_labels = tuple(f"{q:g}" for q in config.test_prevalence_grid)
     tables = []
     for panel in config.panels:
@@ -355,10 +357,9 @@ def run_experiment(config: ExperimentConfig) -> list[ResultTable]:
     return tables
 
 
-def density_grid_csv(config: ExperimentConfig) -> str:
+def density_grid_csv(setup: ScenarioSetup) -> str:
     """Class-conditional densities of the training and test models on a fixed
     grid (1001 points over [-6, 8]), for external plotting."""
-    setup = build_setup(config)
     xs = np.linspace(*_DENSITY_GRID_RANGE, _DENSITY_GRID_POINTS)
     lines = ["x,train_f0,train_f1,test_f0,test_f1"]
     t = setup.train

@@ -160,6 +160,7 @@ def integrate_real_line(
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_GOLDEN_INVERSE = pow(_GOLDEN, -1, 1 << 64)
 _INV_2_53 = 2.0 ** -53
 _TWO_PI = 2.0 * math.pi
 
@@ -192,6 +193,14 @@ def _libm(fn, values: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, values.tolist()), dtype=float, count=len(values))
 
 
+def _box_muller(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cosine and sine gaussians of uniform pairs, exactly as
+    :meth:`RngStream.next_gaussian` computes them (``u1`` must be nonzero)."""
+    radius = np.sqrt(-2.0 * _libm(math.log, u1))
+    angle = _TWO_PI * u2
+    return radius * _libm(math.cos, angle), radius * _libm(math.sin, angle)
+
+
 class RngStream:
     """Seeded, reproducible stream of uniforms and gaussians.
 
@@ -211,7 +220,17 @@ class RngStream:
         self.seed = seed
         self.stream_id = stream_id
         self._state = _mix64(_mix64(seed) ^ _mix64(stream_id ^ _GOLDEN))
+        self._start = self._state
         self._spare_gaussian: float | None = None
+
+    @property
+    def words_drawn(self) -> int:
+        """Number of 64-bit words drawn since construction.
+
+        The state advances by a fixed odd constant per word, so the count
+        follows from the state alone (modulo 2**64).
+        """
+        return ((self._state - self._start) * _GOLDEN_INVERSE) & _MASK64
 
     def next_uint64(self) -> int:
         self._state = (self._state + _GOLDEN) & _MASK64
@@ -236,11 +255,15 @@ class RngStream:
         self._spare_gaussian = radius * math.sin(angle)
         return radius * math.cos(angle)
 
+    def _advance(self, words: int) -> None:
+        # skip ``words`` words, or step back over them when negative
+        self._state = (self._state + words * _GOLDEN) & _MASK64
+
     def _uniform_block(self, n: int) -> np.ndarray:
         steps = np.arange(1, n + 1, dtype=np.uint64)
         steps *= np.uint64(_GOLDEN)
         steps += np.uint64(self._state)
-        self._state = (self._state + n * _GOLDEN) & _MASK64
+        self._advance(n)
         return (_mix64_array(steps) >> np.uint64(11)).astype(float) * _INV_2_53
 
     def uniforms(self, n: int) -> np.ndarray:
@@ -278,11 +301,8 @@ class RngStream:
             # the scalar loop redraws a zero u1, which shifts the pairing
             self._state = state
             return np.array([self.next_gaussian() for _ in range(count)])
-        radius = np.sqrt(-2.0 * _libm(math.log, u1))
-        angle = _TWO_PI * u2
         values = np.empty(2 * pairs)
-        values[0::2] = radius * _libm(math.cos, angle)
-        values[1::2] = radius * _libm(math.sin, angle)
+        values[0::2], values[1::2] = _box_muller(u1, u2)
         if count % 2:
             self._spare_gaussian = float(values[-1])
         return values[:count]

@@ -138,9 +138,9 @@ def sample_run(train):
         base = _scenario_base_stream(config, 0)
         test = qs.make_test_population(qs.ShiftScenario(kind, train, 0.5))
         train_sample = qs.stratified_sample(train, N, qs.RngStream(SEED, base))
+        streams = [qs.RngStream(SEED, base + 1 + j) for j in range(len(GRID))]
         datasets = [
-            qs.stratified_sample(test.with_prevalence(q), N, qs.RngStream(SEED, base + 1 + j))
-            for j, q in enumerate(GRID)
+            qs.stratified_sample(test.with_prevalence(q), N, stream) for q, stream in zip(GRID, streams)
         ]
         # the regenerated datasets must be the ones behind the table
         for j, dataset in enumerate(datasets):
@@ -151,6 +151,7 @@ def sample_run(train):
             "test": test,
             "train_sample": train_sample,
             "datasets": datasets,
+            "words_drawn": [stream.words_drawn for stream in streams],
         }
     return {"data": data, "duration": time.perf_counter() - start}
 
@@ -185,6 +186,15 @@ def test_sampled_datasets_match_golden_digests(sample_run):
     if mismatched:
         detail += f"; differ: {', '.join(mismatched)}"
     report("golden digests of the seed-42 sample datasets", not mismatched, detail)
+
+
+def test_accept_reject_proposal_count_is_pinned(sample_run):
+    # Accept-reject uses two words per proposal (a Box-Muller pair serves two
+    # proposals, each with its accept word), so floor(words / 2) counts the
+    # proposals of a derived-scenario dataset.  Recorded with the scalar sampler.
+    data = sample_run["data"]
+    proposals = sum(words // 2 for kind in ("invariant_ratio", "sqrt_ratio") for words in data[kind]["words_drawn"])
+    report("accept-reject proposals of the 18 seed-42 derived datasets", proposals == 522_912, f"{proposals}")
 
 
 def test_rng_stream_prefix_is_pinned():

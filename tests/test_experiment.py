@@ -8,6 +8,7 @@ from quantshift.cli import main
 from quantshift.experiment import (
     DEFAULT_GRID,
     ResultTable,
+    build_setup,
     density_grid_csv,
     tables_from_json,
     tables_to_json,
@@ -173,7 +174,7 @@ class TestRunExperiment:
                     assert (math.isnan(v_a) and math.isnan(v_b)) or v_a == v_b
 
     def test_density_grid_export(self):
-        text = density_grid_csv(population_config(scenario=ShiftKind.INVARIANT_RATIO))
+        text = density_grid_csv(build_setup(population_config(scenario=ShiftKind.INVARIANT_RATIO)))
         lines = text.splitlines()
         assert lines[0] == "x,train_f0,train_f1,test_f0,test_f1"
         assert len(lines) == 1002

@@ -194,6 +194,19 @@ class TestRngStream:
         assert abs(values.mean()) < 4 / math.sqrt(n)
         assert abs(values.var() - 1.0) < 0.01
 
+    @pytest.mark.parametrize("k", [0, 1, 7, 1000])
+    def test_words_drawn_counts_words(self, k):
+        scalar, block = RngStream(5, 3), RngStream(5, 3)
+        for _ in range(k):
+            scalar.next_uint64()
+        block.uniforms(k)
+        assert scalar.words_drawn == block.words_drawn == k
+
+    def test_words_drawn_counts_box_muller_pairs(self):
+        stream = RngStream(5, 3)
+        stream.gaussians(2 * BLOCK + 3)
+        assert stream.words_drawn == 2 * BLOCK + 4
+
     def test_seed_validation(self):
         with pytest.raises(ValueError):
             RngStream(-1)

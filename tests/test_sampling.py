@@ -1,10 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quantshift as qs
 from quantshift.models import NormalSampler, normal_pdf
+from quantshift.numerics import _BLOCK_PAIRS
+from quantshift.sampling import RejectionSampler, rejection_draw
+from test_numerics import _GOLDEN, _MASK64, _stream, _unmix64
 
 
 def ks_statistic(sample, cdf):
@@ -134,6 +140,100 @@ class TestAcceptReject:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             qs.accept_reject_sample(lambda x: x, lambda s: 0.0, lambda x: x, 1.0, -1, qs.RngStream(1, 0))
+
+
+def _scalar_twin(sampler: RejectionSampler) -> RejectionSampler:
+    """The same sampler with a plain-callable candidate, which takes the scalar loop."""
+    mean, sd = sampler.candidate_sampler.mean, sampler.candidate_sampler.sd
+    return replace(sampler, candidate_sampler=lambda s: mean + sd * s.next_gaussian())
+
+
+def _assert_block_matches_scalar(sampler: RejectionSampler, make_stream, n: int) -> None:
+    block, scalar = make_stream(), make_stream()
+    got = sampler.draw(block, n)
+    expected = _scalar_twin(sampler).draw(scalar, n)
+    assert got.tobytes() == expected.tobytes()
+    assert block._state == scalar._state
+    assert block._spare_gaussian == scalar._spare_gaussian
+
+
+def _draw_error(sampler: RejectionSampler, stream, n: int) -> str:
+    with pytest.raises(qs.EnvelopeViolation) as info:
+        sampler.draw(stream, n)
+    return str(info.value)
+
+
+# Outside x > 2.5 the target equals the candidate density, so every proposal
+# there is accepted; inside, M = 1 is too small.
+_TAIL_VIOLATION = RejectionSampler(
+    lambda x: normal_pdf(x, 0.0, 1.0) * np.where(np.asarray(x) > 2.5, 2.0, 1.0),
+    NormalSampler(0.0, 1.0),
+    lambda x: normal_pdf(x, 0.0, 1.0),
+    1.0,
+)
+
+
+class TestRejectionSamplerBlocks:
+    # a block holds 2 * _BLOCK_PAIRS proposals: about 5,900 class-0 and 2,300
+    # class-1 draws of the invariant-ratio conditionals
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, _MASK64),
+        stream_id=st.integers(0, _MASK64),
+        n=st.one_of(
+            st.integers(0, 9),
+            st.sampled_from([2_000, 2_500, 5_800, 6_000]),
+            st.integers(0, 2 * _BLOCK_PAIRS).map(lambda k: 2 * k + 1),
+        ),
+        pending_spare=st.booleans(),
+        scenario=st.sampled_from(["invariant", "sqrt"]),
+        label=st.sampled_from(["sampler0", "sampler1"]),
+    )
+    def test_blocks_equal_scalar_loop(
+        self, invariant_test, sqrt_test, seed, stream_id, n, pending_spare, scenario, label
+    ):
+        sampler = getattr(invariant_test if scenario == "invariant" else sqrt_test, label)
+        _assert_block_matches_scalar(sampler, lambda: _stream(seed, stream_id, pending_spare), n)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_blocks_without_acceptances(self, invariant_test, seed):
+        # a thousandth of the target still lies under the envelope, but a
+        # block sized for the acceptance rate 1/M then rarely accepts
+        sampler = invariant_test.sampler0
+        faint = replace(sampler, target=lambda x: 1e-3 * sampler.target(x))
+        _assert_block_matches_scalar(faint, lambda: _stream(seed), 5)
+
+    @pytest.mark.parametrize("pending_spare", [False, True])
+    def test_zero_u1_falls_back_to_scalar_loop(self, invariant_test, pending_spare):
+        # a word below 2**11 is the uniform 0.0; put one at the u1 slot of
+        # pair 100 (word 400)
+        offset = 4 * 100
+        state = (_unmix64(1234) - (offset + 1) * _GOLDEN) & _MASK64
+        assert _stream(0, state=state).uniforms(offset + 1)[-1] == 0.0
+        _assert_block_matches_scalar(invariant_test.sampler0, lambda: _stream(0, 0, pending_spare, state), 500)
+
+    def test_envelope_violation_on_the_same_draw(self):
+        sampler = RejectionSampler(
+            lambda x: normal_pdf(x, 0.0, 1.0), NormalSampler(0.0, 2.0), lambda x: normal_pdf(x, 0.0, 2.0), 1.0
+        )
+        for candidate in (sampler, _TAIL_VIOLATION):
+            block, scalar = _stream(5), _stream(5)
+            assert _draw_error(candidate, block, 1000) == _draw_error(_scalar_twin(candidate), scalar, 1000)
+            assert block._state == scalar._state
+            assert block._spare_gaussian == scalar._spare_gaussian
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_no_violation_after_the_last_proposal_used(self, seed):
+        # count the draws that precede the first violating proposal
+        stream, draws = _stream(seed), 0
+        with pytest.raises(qs.EnvelopeViolation):
+            while True:
+                rejection_draw(*vars(_TAIL_VIOLATION).values(), stream)
+                draws += 1
+        assert draws > 0
+        # every proposal before the violation is accepted, so the first block
+        # (at least 1.1 * draws + 32 proposals) contains the violating one
+        _assert_block_matches_scalar(_TAIL_VIOLATION, lambda: _stream(seed), draws)
 
 
 class TestNormalSampler:
