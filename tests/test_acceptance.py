@@ -9,16 +9,20 @@ with the population values), since sample digits depend on a random draw that
 the reference tables do not pin down.
 """
 
+import contextlib
 import hashlib
+import io
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import quantshift as qs
-from quantshift import reference
-from quantshift.experiment import _scenario_base_stream
+from quantshift import cli, reference
+from quantshift.experiment import _scenario_base_stream, emit_table
 from quantshift.models import normal_pdf
 from quantshift.quantify import PopulationEvaluator, SampleEvaluator
 from quantshift.shift import ShiftKind, envelope_support
@@ -82,6 +86,12 @@ GOLDEN_WORDS = (
     0x1d60dee85969bf76,
 )
 GOLDEN_GAUSSIANS = ("-0.7580428410519306", "3.10318987857567", "-0.1039836674575383", "0.2213404478286941")
+# SHA-256 of every file that `quantshift run --panel population --format both`
+# writes, and of the 17-digit CSV of each seed-42 sample prevalence table.
+# The four-decimal CSVs and the markdown are never re-recorded; the 17-digit
+# files (*_full.csv, *_results.json, *_densities.csv, the sample tables) may
+# be, by a change that lists the largest absolute change per file.
+GOLDEN_OUTPUTS = json.loads((Path(__file__).parent / "golden_outputs.json").read_text())
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -195,6 +205,27 @@ def test_accept_reject_proposal_count_is_pinned(sample_run):
     data = sample_run["data"]
     proposals = sum(words // 2 for kind in ("invariant_ratio", "sqrt_ratio") for words in data[kind]["words_drawn"])
     report("accept-reject proposals of the 18 seed-42 derived datasets", proposals == 522_912, f"{proposals}")
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_output_bytes_match_golden_digests(tmp_path, sample_run):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["run", "--panel", "population", "--format", "both", "--outdir", str(tmp_path)])
+    got = {path.name: _sha256(path.read_bytes()) for path in sorted(tmp_path.iterdir())}
+    want = GOLDEN_OUTPUTS["population_run"]
+    differ = sorted(name for name in want.keys() | got.keys() if got.get(name) != want.get(name))
+    for scenario, digest in GOLDEN_OUTPUTS["sample_prevalence_17g"].items():
+        table = sample_run["data"][scenario]["table"]
+        if _sha256(emit_table(table, "csv", full_precision=True).encode()) != digest:
+            differ.append(f"{scenario} seed-42 sample prevalence (17 digits)")
+    total = len(want) + len(GOLDEN_OUTPUTS["sample_prevalence_17g"])
+    detail = f"{total - len(differ)} of {total} match"
+    if differ:
+        detail += f"; differ: {', '.join(differ)}"
+    report("golden digests of the population run outputs and the sample tables", code == 0 and not differ, detail)
 
 
 def test_rng_stream_prefix_is_pinned():
