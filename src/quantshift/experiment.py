@@ -2,10 +2,11 @@
 variants over a prevalence grid at population and sample level, and render
 the result tables.
 
-Population panels are computed analytically (CDF evaluations and quadrature)
-and involve no randomness; sample panels are deterministic functions of the
-configured seed.  Grid cells are independent; output assembly follows grid
-order, so two runs of the same configuration produce identical bytes.
+Population panels are computed analytically (CDF evaluations and sums over
+fixed Gauss-Legendre nodes) and involve no randomness; sample panels are
+deterministic functions of the configured seed.  Grid cells are independent;
+output assembly follows grid order, so two runs of the same configuration
+produce identical bytes.
 """
 
 from __future__ import annotations
@@ -295,6 +296,7 @@ def _panel_cells(setup: ScenarioSetup, panel: str) -> dict[str, list[list[float]
     grid = config.test_prevalence_grid
     per_metric = {m: [[0.0] * len(grid) for _ in ROW_LABELS] for m in config.outputs}
     repetitions = config.repetitions if panel == "sample" else 1
+    population = PopulationEvaluator(setup.test_conditionals) if panel == "population" else None
 
     for rep in range(repetitions):
         if panel == "sample":
@@ -306,12 +308,12 @@ def _panel_cells(setup: ScenarioSetup, panel: str) -> dict[str, list[list[float]
         else:
             tpr, fpr = setup.tpr, setup.fpr
         for j, q in enumerate(grid):
-            test_model = setup.test_conditionals.with_prevalence(q)
             if panel == "sample":
                 stream = RngStream(config.seed, base + 1 + j)
+                test_model = setup.test_conditionals.with_prevalence(q)
                 evaluator = SampleEvaluator(stratified_sample(test_model, config.sample_size, stream))
             else:
-                evaluator = PopulationEvaluator(test_model)
+                evaluator = population.at_prevalence(q)
             estimates = _estimates_for_cell(setup, evaluator, tpr, fpr)
             for metric in config.outputs:
                 for i, label in enumerate(ROW_LABELS):

@@ -72,7 +72,11 @@ class DensityRatio:
             raise ValueError("log_slope must be nonzero (constant ratios are degenerate)")
 
     def __call__(self, x):
-        return np.exp(self.log_slope * np.asarray(x, dtype=float) + self.log_offset)
+        return np.exp(self.log(x))
+
+    def log(self, x):
+        """log R(x), which stays finite where R itself overflows."""
+        return self.log_slope * np.asarray(x, dtype=float) + self.log_offset
 
     @property
     def decreasing(self) -> bool:

@@ -1,5 +1,6 @@
-"""Deterministic scalar numerics: bracketed root finding, real-line quadrature,
-and seeded random-number streams.
+"""Deterministic numerics: the likelihood-equation solver, Gauss-Legendre
+node measures, bracketed root finding and adaptive quadrature, and seeded
+random-number streams.
 
 Everything in this module is pure given its inputs.  The random stream is a
 small explicit generator (splitmix64) implemented here so that sampled results
@@ -69,32 +70,12 @@ def find_root_bracketed(f: Callable[[float], float], bracket: Bracket, tol: floa
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and truncation rule for real-line quadrature.
-
-    ``truncation_halfwidth`` is measured in multiples of the integrand's
-    effective scale; 12 keeps the truncation error of Gaussian-order tails
-    below 1e-14 relative.
-    """
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    truncation_halfwidth: float = 12.0
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.truncation_halfwidth < 8:
-            raise ValueError("truncation_halfwidth must be at least 8")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
-
 # 15-point Gauss-Legendre rule; exact for polynomials up to degree 29.
 _GL_NODES, _GL_WEIGHTS = leggauss(15)
 _MAX_DEPTH = 48
 _INITIAL_PANELS = 16
+# Node measures of populations and envelopes use this many panels.
+NODE_PANELS = 256
 
 
 def _panel(f, a: float, b: float) -> float:
@@ -140,22 +121,125 @@ def integrate_interval(
     )
 
 
-def integrate_real_line(
-    f: Callable[[np.ndarray], np.ndarray],
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-    center: float = 0.0,
-    scale: float = 1.0,
-) -> float:
-    """Integrate ``f`` over the real line.
+def gauss_legendre_nodes(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Composite 15-point Gauss-Legendre nodes and weights on [lo, hi].
 
-    The integrand must be absolutely integrable with tails decaying at
-    Gaussian order outside ``center +/- truncation_halfwidth * scale``; the
-    integral is evaluated adaptively on that truncated interval.
+    ``NODE_PANELS`` equal panels each carry the 15-point rule; the two flat
+    arrays list the nodes panel by panel.  A weighted sum over them
+    integrates a smooth function over [lo, hi].
     """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    halfwidth = spec.truncation_halfwidth * scale
-    return integrate_interval(f, center - halfwidth, center + halfwidth, spec.abs_tol, spec.rel_tol)
+    edges = np.linspace(lo, hi, NODE_PANELS + 1)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    halves = 0.5 * np.diff(edges)
+    points = mids[:, None] + halves[:, None] * _GL_NODES[None, :]
+    weights = halves[:, None] * _GL_WEIGHTS[None, :]
+    return points.ravel(), weights.ravel()
+
+
+def reciprocal_excess(log_r: np.ndarray) -> np.ndarray:
+    """c = 1 / (R - 1) from an array of log R, as a new array.
+
+    The likelihood term (R - 1) / (1 + q (R - 1)) equals 1 / (c + q).  That
+    never overflows: c is never inside (-1, 0), so the term lies between
+    -1 / (1 - q) and 1 / q.  Where R - 1 overflows (log R > 709) c is 0, and
+    where R = 1 it is infinite; the term then takes its limits 1 / q and 0.
+    """
+    with np.errstate(over="ignore", divide="ignore"):
+        c = np.expm1(np.asarray(log_r, dtype=float))
+        np.divide(1.0, c, out=c)
+    return c
+
+
+@dataclass(frozen=True)
+class PriorEquationRoot:
+    """Outcome of :func:`solve_prior_equation`.
+
+    ``value`` is the root in (0, 1), or 0.0 when E_w[R] <= 1 and 1.0 when
+    E_w[1/R] <= 1.  ``log_moment_r`` and ``log_moment_inv`` are log E_w[R] and
+    log E_w[1/R]; ``steps`` counts the Newton and bisection steps.
+    """
+
+    value: float
+    log_moment_r: float
+    log_moment_inv: float
+    steps: int
+
+
+# Iterates stay in [_Q_FLOOR, 1 - _Q_FLOOR], where no term exceeds 1 / _Q_FLOOR.
+_Q_FLOOR = 1e-12
+_MAX_SOLVER_STEPS = 200
+
+
+def _log_sum_exp(values: np.ndarray) -> float:
+    """log(sum(exp(values))), overwriting ``values``."""
+    peak = float(values.max())
+    if not math.isfinite(peak):
+        return peak
+    values -= peak
+    np.exp(values, out=values)
+    return peak + math.log(float(values.sum()))
+
+
+def _weighted_sum(values: np.ndarray, weights) -> float:
+    # equal weights come as one number, which scales every sum alike
+    return float(values.sum()) if np.ndim(weights) == 0 else float(np.dot(values, weights))
+
+
+def solve_prior_equation(log_r, weights, tol: float = 1e-12) -> PriorEquationRoot:
+    """Solve the likelihood equation E_w[(R - 1) / (1 + q (R - 1))] = 0 for q.
+
+    ``log_r`` holds log R at the points of a discrete measure, and
+    ``weights`` their nonnegative weights: an array of the same length, or
+    one number for equal weights.  A root in (0, 1) exists iff E_w[R] > 1
+    and E_w[1/R] > 1.  Both moments are decided by a log-sum-exp of
+    log R + log w, so neither R nor a weight has to be representable.
+
+    The terms are 1 / (c + q) with c from :func:`reciprocal_excess`, so no
+    step overflows.  Newton steps use f'(q) = -E_w[(1 / (c + q))^2]; a step
+    that leaves the bracket of the root, or is more than half as long as the
+    step before it, is replaced by bisection.  The solve stops once a step is
+    at most ``tol``.  Besides ``log_r`` it holds two arrays of its length.
+    """
+    log_r = np.asarray(log_r, dtype=float)
+    with np.errstate(divide="ignore"):
+        log_w = np.log(weights)
+    if np.ndim(weights) == 0:
+        log_total = float(log_w) + math.log(log_r.size)
+    else:
+        log_total = math.log(float(np.sum(weights)))
+    g = np.add(log_w, log_r, out=np.empty_like(log_r))
+    log_moment_r = _log_sum_exp(g) - log_total
+    np.subtract(log_w, log_r, out=g)
+    log_moment_inv = _log_sum_exp(g) - log_total
+    if not log_moment_r > 0.0:
+        return PriorEquationRoot(0.0, log_moment_r, log_moment_inv, 0)
+    if not log_moment_inv > 0.0:
+        return PriorEquationRoot(1.0, log_moment_r, log_moment_inv, 0)
+
+    c = reciprocal_excess(log_r)
+    lo, hi = _Q_FLOOR, 1.0 - _Q_FLOOR
+    q, last_step = 0.5, hi - lo
+    for steps in range(1, _MAX_SOLVER_STEPS + 1):
+        np.add(c, q, out=g)
+        np.divide(1.0, g, out=g)
+        value = _weighted_sum(g, weights)
+        if value == 0.0:
+            break
+        if value > 0.0:
+            lo = q
+        else:
+            hi = q
+        np.multiply(g, g, out=g)
+        step = value / _weighted_sum(g, weights)
+        # a step within tol is taken as it is: q + step may round to q, the
+        # end of the bracket
+        if abs(step) > tol and (not lo < q + step < hi or abs(step) > 0.5 * abs(last_step)):
+            step = 0.5 * (lo + hi) - q
+        q += step
+        last_step = step
+        if abs(step) <= tol:
+            break
+    return PriorEquationRoot(q, log_moment_r, log_moment_inv, steps)
 
 
 _MASK64 = (1 << 64) - 1

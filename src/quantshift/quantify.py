@@ -1,12 +1,14 @@
 """Prevalence estimators: Classify & Count / CDE-Iterate, Adjusted Classify &
 Count, and the EM (maximum likelihood) estimator.
 
-Each estimator runs against a :class:`TestEvaluator`, which answers exactly
-two questions about the test distribution -- the rate of class-0 decisions of
-a classifier and the expectation of a function of the features.  A
-:class:`PopulationEvaluator` answers them analytically (CDF evaluations and
-quadrature), a :class:`SampleEvaluator` empirically; estimators never look at
-test labels through either backend.
+Each estimator runs against a :class:`TestEvaluator`, which answers
+questions about the test distribution: the rate of class-0 decisions of a
+classifier, and the feature distribution as a weighted point set (its
+``measure``), over which expectations are sums.  A
+:class:`PopulationEvaluator` answers them from the model (CDF evaluations and
+fixed Gauss-Legendre nodes), a :class:`SampleEvaluator` from the features of
+a sample, each weighted 1/n; estimators never look at test labels through
+either backend.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from typing import Callable, Protocol, runtime_checkable
 import numpy as np
 
 from .classify import ThresholdClassifier, weighted_bayes_classifier
-from .models import DensityRatio, PopulationModel, marginal_density
-from .numerics import Bracket, find_root_bracketed, integrate_interval
+from .models import DensityRatio, PopulationModel
+from .numerics import gauss_legendre_nodes, solve_prior_equation
 from .sampling import LabeledDataset
 
 _DEGENERATE_RATE_GAP = 1e-12
@@ -64,14 +66,37 @@ class PrevalenceEstimate:
 class TestEvaluator(Protocol):
     def predict_positive_rate(self, clf: ThresholdClassifier) -> float: ...
 
+    def measure(self) -> tuple[np.ndarray, np.ndarray | float]: ...
+
     def expect(self, fn: Callable) -> float: ...
 
 
 class PopulationEvaluator:
-    """Exact evaluation against a test population model."""
+    """Exact evaluation against a test population model.
+
+    Rates come from the class-conditional CDFs.  The feature distribution is
+    a fixed node measure: composite 15-point Gauss-Legendre nodes on
+    ``model.support`` (``numerics.NODE_PANELS`` = 256 panels), with weight
+    q w0 + (1 - q) w1 where w0 and w1 are the node weights times f0 and f1.
+    Those depend only on the conditional pair; they are computed on first
+    use and shared by the evaluators that :meth:`at_prevalence` makes.
+    """
 
     def __init__(self, model: PopulationModel):
         self.model = model
+        self._nodes: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    def at_prevalence(self, prevalence0: float) -> "PopulationEvaluator":
+        """An evaluator of the same conditionals at another prevalence."""
+        shifted = PopulationEvaluator(self.model.with_prevalence(prevalence0))
+        shifted._nodes = self._node_values()
+        return shifted
+
+    def _node_values(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self._nodes is None:
+            points, weights = gauss_legendre_nodes(*self.model.support)
+            self._nodes = (points, weights * self.model.f0(points), weights * self.model.f1(points))
+        return self._nodes
 
     @property
     def prevalence0(self) -> float:
@@ -86,12 +111,15 @@ class PopulationEvaluator:
         """(Q[g=0 | Y=0], Q[g=0 | Y=1]) from the class-conditional CDFs."""
         return clf.rate_class0(self.model.cdf0), clf.rate_class0(self.model.cdf1)
 
+    def measure(self) -> tuple[np.ndarray, np.ndarray]:
+        """The nodes and their weights under the test marginal density."""
+        points, w0, w1 = self._node_values()
+        q = self.model.prevalence0
+        return points, q * w0 + (1.0 - q) * w1
+
     def expect(self, fn: Callable) -> float:
-        lo, hi = self.model.support
-        return integrate_interval(
-            lambda x: fn(x) * marginal_density(self.model, x), lo, hi,
-            abs_tol=1e-13, rel_tol=1e-11,
-        )
+        points, weights = self.measure()
+        return float(np.dot(weights, fn(points)))
 
 
 class SampleEvaluator:
@@ -110,6 +138,10 @@ class SampleEvaluator:
 
     def predict_positive_rate(self, clf: ThresholdClassifier) -> float:
         return float(np.mean(clf.predict(self._features) == 0))
+
+    def measure(self) -> tuple[np.ndarray, float]:
+        """The features, each with weight 1/n."""
+        return self._features, 1.0 / len(self._features)
 
     def expect(self, fn: Callable) -> float:
         return float(np.mean(fn(self._features)))
@@ -174,20 +206,18 @@ def em_estimate(
 
     which exists iff E_Q[R] > 1 and E_Q[1/R] > 1.  When a moment condition
     fails the estimate sits at the corresponding boundary (0 or 1) and the
-    status says which.
+    status says which.  The expectation is over the evaluator's measure, and
+    :func:`~quantshift.numerics.solve_prior_equation` finds the root.
     """
-    moment_r = evaluator.expect(ratio)
-    if moment_r <= 1.0:
-        return PrevalenceEstimate(0.0, Method.EM, EstimateStatus.BOUNDARY_LOW)
-    moment_inv = evaluator.expect(lambda x: 1.0 / ratio(x))
-    if moment_inv <= 1.0:
-        return PrevalenceEstimate(1.0, Method.EM, EstimateStatus.BOUNDARY_HIGH)
-
-    def likelihood_value(q: float) -> float:
-        return evaluator.expect(lambda x: (ratio(x) - 1.0) / (1.0 + q * (ratio(x) - 1.0)))
-
-    value = find_root_bracketed(likelihood_value, Bracket(1e-12, 1.0 - 1e-12), tol=tol)
-    return PrevalenceEstimate(value, Method.EM, EstimateStatus.CONVERGED)
+    points, weights = evaluator.measure()
+    root = solve_prior_equation(ratio.log(points), weights, tol)
+    if root.value == 0.0:
+        status = EstimateStatus.BOUNDARY_LOW
+    elif root.value == 1.0:
+        status = EstimateStatus.BOUNDARY_HIGH
+    else:
+        status = EstimateStatus.CONVERGED
+    return PrevalenceEstimate(root.value, Method.EM, status)
 
 
 def cde_iterate(

@@ -10,6 +10,7 @@ equation.  One (h0, h1) pair then serves every test prevalence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -25,7 +26,7 @@ from .models import (
     normal_pdf,
     posterior,
 )
-from .numerics import Bracket, find_root_bracketed, integrate_interval
+from .numerics import gauss_legendre_nodes, solve_prior_equation
 from .sampling import RejectionSampler
 
 # Existence of an interior mixture weight requires both ratio moments to
@@ -80,45 +81,43 @@ def decompose_mixture(
 
         integral of (R - 1) / (1 + q (R - 1)) h* dx = 0,
 
-    which exists iff both E[R] > 1 and E[1/R] > 1 under h*.  The component
-    densities are h0 = R h* / (1 + q*(R - 1)) and h1 = h* / (1 + q*(R - 1)).
+    which exists iff both E[R] > 1 and E[1/R] > 1 under h*.  The integral is
+    a sum over the fixed Gauss-Legendre node measure of ``support`` weighted
+    by h* (the nodes a population on that support uses), and
+    :func:`~quantshift.numerics.solve_prior_equation` finds the root.  The
+    component densities are h0 = R h* / (1 + q*(R - 1)) and
+    h1 = h* / (1 + q*(R - 1)), evaluated from log R so that they stay finite
+    where R overflows.
 
     Raises:
         NoInteriorSolution: naming the moment inequality that failed.
     """
-    lo, hi = support
-
-    def expect(fn) -> float:
-        return integrate_interval(lambda x: fn(x) * h_star(x), lo, hi, abs_tol=1e-13, rel_tol=1e-11)
-
-    moment_r = expect(ratio)
-    if moment_r <= 1.0 + _MOMENT_MARGIN:
+    points, weights = gauss_legendre_nodes(*support)
+    weights *= h_star(points)
+    root = solve_prior_equation(ratio.log(points), weights)
+    if root.log_moment_r <= math.log1p(_MOMENT_MARGIN):
         raise NoInteriorSolution(
-            f"E[R] = {moment_r} under the envelope does not exceed 1; "
+            f"E[R] = {math.exp(root.log_moment_r)} under the envelope does not exceed 1; "
             "the mixture has no class-0 component",
             failed_moment="E[R]",
         )
-    moment_inv = expect(lambda x: 1.0 / ratio(x))
-    if moment_inv <= 1.0 + _MOMENT_MARGIN:
+    if root.log_moment_inv <= math.log1p(_MOMENT_MARGIN):
         raise NoInteriorSolution(
-            f"E[1/R] = {moment_inv} under the envelope does not exceed 1; "
+            f"E[1/R] = {math.exp(root.log_moment_inv)} under the envelope does not exceed 1; "
             "the mixture has no class-1 component",
             failed_moment="E[1/R]",
         )
+    q_star = root.value
+    log_q, log_1mq = math.log(q_star), math.log1p(-q_star)
 
-    def likelihood_value(q: float) -> float:
-        return expect(lambda x: (ratio(x) - 1.0) / (1.0 + q * (ratio(x) - 1.0)))
-
-    # strictly decreasing in q, so bisection on the near-full interval is safe
-    q_star = find_root_bracketed(likelihood_value, Bracket(1e-10, 1.0 - 1e-10), tol=1e-12)
-
+    # log(1 + q*(R - 1)) = logaddexp(log(1 - q*), log q* + log R) stays finite
+    # where R overflows
     def h0(x):
-        r = ratio(x)
-        return r * h_star(x) / (1.0 + q_star * (r - 1.0))
+        log_r = ratio.log(x)
+        return h_star(x) * np.exp(log_r - np.logaddexp(log_1mq, log_q + log_r))
 
     def h1(x):
-        r = ratio(x)
-        return h_star(x) / (1.0 + q_star * (r - 1.0))
+        return h_star(x) * np.exp(-np.logaddexp(log_1mq, log_q + ratio.log(x)))
 
     return q_star, h0, h1
 

@@ -1,10 +1,12 @@
+import contextlib
 import json
 import math
+import signal
 
 import pytest
 
 import quantshift as qs
-from quantshift.cli import main
+from quantshift.cli import _NUMERICAL_ERRORS, main
 from quantshift.experiment import (
     DEFAULT_GRID,
     ResultTable,
@@ -254,3 +256,59 @@ class TestCli:
         main(["run", str(config_path), "--outdir", str(out2)])
         for name in ("prior_shift_prevalence_sample_full.csv", "prior_shift_prevalence_population_full.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Fail the enclosed block if it runs longer than ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _population_tables(scenario: str, **fields) -> dict:
+    config = qs.ExperimentConfig(scenario=scenario, panels=("population",), outputs=("prevalence",), **fields)
+    with deadline(5.0):
+        return {t.metric: t for t in qs.run_experiment(config)}
+
+
+def _all_finite(table: ResultTable) -> bool:
+    return all(math.isfinite(v) for row in table.cells for v in row)
+
+
+class TestBoundedTime:
+    """Valid configurations that once hung, or failed although EM is well
+    defined: each finishes within a few seconds or raises a typed error."""
+
+    @pytest.mark.parametrize("sigma", [0.5, 0.05])
+    def test_prior_shift_em_is_exact(self, sigma):
+        table = _population_tables("prior_shift", sigma=sigma)["prevalence"]
+        assert _all_finite(table)
+        assert max(abs(v - q) for v, q in zip(table.row("EM"), DEFAULT_GRID)) <= 1e-9
+
+    @pytest.mark.parametrize("scenario", ["invariant_ratio", "sqrt_ratio"])
+    def test_derived_scenarios_at_sigma_one_half(self, scenario):
+        assert _all_finite(_population_tables(scenario, sigma=0.5)["prevalence"])
+
+    @pytest.mark.parametrize("theta", [1.35, 2.5])
+    def test_invariant_ratio_far_envelope_means(self, theta):
+        table = _population_tables("invariant_ratio", envelope_mean=theta)["prevalence"]
+        assert _all_finite(table)
+        assert max(abs(v - q) for v, q in zip(table.row("EM"), DEFAULT_GRID)) <= 1e-9
+
+    @pytest.mark.parametrize("scenario", ["invariant_ratio", "sqrt_ratio"])
+    def test_derived_scenarios_at_sigma_one_twentieth(self, scenario):
+        try:
+            tables = _population_tables(scenario, sigma=0.05)
+        except _NUMERICAL_ERRORS:
+            return
+        assert _all_finite(tables["prevalence"])
+

@@ -2,19 +2,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quantshift.numerics import (
     Bracket,
     NonFinite,
     NoSignChange,
-    QuadratureSpec,
     RngStream,
     _mix64,
     find_root_bracketed,
+    gauss_legendre_nodes,
     integrate_interval,
-    integrate_real_line,
+    reciprocal_excess,
+    solve_prior_equation,
 )
 
 
@@ -76,22 +77,11 @@ class TestRootFinding:
     def test_likelihood_equation_mixture_weight(self):
         # solving the mixture-weight equation for the default envelope and
         # ratio reproduces the reference weight 0.7239184
-        def ratio(x):
-            return np.exp(-2.0 * np.asarray(x) + 2.0)
-
-        def envelope(x):
-            z = (np.asarray(x) - 0.5) / 1.4
-            return np.exp(-0.5 * z * z) / (1.4 * math.sqrt(2 * math.pi))
-
-        def likelihood_value(q):
-            return integrate_real_line(
-                lambda x: (ratio(x) - 1.0) / (1.0 + q * (ratio(x) - 1.0)) * envelope(x),
-                center=0.5,
-                scale=1.8,
-            )
-
-        root = find_root_bracketed(likelihood_value, Bracket(1e-6, 1 - 1e-6), tol=1e-10)
-        assert root == pytest.approx(0.7239184, abs=5e-7)
+        points, weights = gauss_legendre_nodes(0.5 - 12 * 1.8, 0.5 + 12 * 1.8)
+        z = (points - 0.5) / 1.4
+        weights *= np.exp(-0.5 * z * z) / (1.4 * math.sqrt(2 * math.pi))
+        root = solve_prior_equation(-2.0 * points + 2.0, weights, tol=1e-10)
+        assert root.value == pytest.approx(0.7239184, abs=5e-7)
 
     def test_no_sign_change_raises(self):
         with pytest.raises(NoSignChange):
@@ -117,12 +107,91 @@ class TestRootFinding:
             assert abs(root - r) < 1e-11
 
 
+class TestPriorEquationSolver:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(-30.0, 30.0), st.floats(1e-3, 1.0)), min_size=2, max_size=40
+        )
+    )
+    def test_agrees_with_bisection(self, pairs):
+        log_r = np.array([lr for lr, _ in pairs])
+        weights = np.array([w for _, w in pairs])
+        r = np.exp(log_r)
+
+        def likelihood_value(q):
+            return float(np.dot(weights, (r - 1.0) / (1.0 + q * (r - 1.0))))
+
+        lo, hi = 1e-12, 1.0 - 1e-12
+        assume(likelihood_value(lo) > 0.0 > likelihood_value(hi))
+        expected = find_root_bracketed(likelihood_value, Bracket(lo, hi), tol=1e-15)
+        root = solve_prior_equation(log_r, weights)
+        assert abs(root.value - expected) <= 1e-12
+        assert root.steps <= 60
+
+    def test_equal_weights_match_explicit_weights(self):
+        log_r = np.linspace(-3.0, 2.0, 101)
+        equal = solve_prior_equation(log_r, 1.0 / len(log_r))
+        explicit = solve_prior_equation(log_r, np.full(len(log_r), 1.0 / len(log_r)))
+        assert equal.value == pytest.approx(explicit.value, abs=1e-14)
+        assert equal.log_moment_r == pytest.approx(explicit.log_moment_r, abs=1e-14)
+
+    def test_boundary_low_when_mean_ratio_at_most_one(self):
+        # E[R] = (e^-1 + e^-2 + e^0.5) / 3 = 0.72
+        root = solve_prior_equation(np.array([-1.0, -2.0, 0.5]), 1.0 / 3.0)
+        assert root.value == 0.0 and root.steps == 0
+        assert root.log_moment_r < 0.0 < root.log_moment_inv
+
+    def test_boundary_high_when_mean_inverse_ratio_at_most_one(self):
+        root = solve_prior_equation(np.array([1.0, 2.0, -0.5]), 1.0 / 3.0)
+        assert root.value == 1.0 and root.steps == 0
+        assert root.log_moment_inv < 0.0 < root.log_moment_r
+
+    def test_constant_unit_ratio_is_boundary_low(self):
+        # E[R] = E[1/R] = 1: no interior root, E[R] is checked first
+        root = solve_prior_equation(np.zeros(5), np.full(5, 0.2))
+        assert root.value == 0.0 and root.log_moment_r == pytest.approx(0.0, abs=1e-15)
+
+    def test_zero_weights_at_the_peak_do_not_decide_the_moments(self):
+        # a node weight that underflows to 0 where log R peaks must not make
+        # the log-sum-exp discard the nodes that carry the mass
+        root = solve_prior_equation(np.array([2000.0, 1.0, -1.0]), np.array([0.0, 0.5, 0.5]))
+        assert root.log_moment_r == pytest.approx(math.log(math.cosh(1.0)), rel=1e-14)
+        assert root.value == pytest.approx(0.5, abs=1e-15)
+
+    def test_terms_stay_finite_at_extreme_log_ratios(self):
+        c = reciprocal_excess(np.array([1000.0, -1000.0, 0.0]))
+        for q in (1e-12, 0.3, 1.0 - 1e-12):
+            terms = 1.0 / (c + q)
+            assert np.all(np.isfinite(terms))
+            assert terms[0] == pytest.approx(1.0 / q, rel=1e-15)
+            assert terms[1] == pytest.approx(-1.0 / (1.0 - q), rel=1e-15)
+            assert terms[2] == 0.0
+        root = solve_prior_equation(np.array([1000.0, -1000.0]), np.array([0.3, 0.7]))
+        assert root.log_moment_r == pytest.approx(1000.0 + math.log(0.3), rel=1e-15)
+        assert root.value == pytest.approx(0.3, abs=1e-15)
+
+    def test_terms_match_the_direct_form(self):
+        log_r = np.linspace(-20.0, 20.0, 81)
+        c = reciprocal_excess(log_r)
+        r = np.exp(log_r)
+        for q in (0.01, 0.5, 0.99):
+            assert np.allclose(1.0 / (c + q), (r - 1.0) / (1.0 + q * (r - 1.0)), rtol=1e-13, atol=1e-300)
+
+    def test_node_measure_integrates_a_normal_density(self):
+        points, weights = gauss_legendre_nodes(-12.0, 12.0)
+        assert points.shape == weights.shape == (256 * 15,)
+        assert np.all(np.diff(points) > 0.0)
+        assert float(np.dot(weights, std_normal_pdf(points))) == pytest.approx(1.0, abs=1e-14)
+        assert float(np.sum(weights)) == pytest.approx(24.0, rel=1e-14)
+
+
 class TestQuadrature:
     def test_normal_density_normalizes(self):
-        assert integrate_real_line(std_normal_pdf) == pytest.approx(1.0, abs=1e-12)
+        assert integrate_interval(std_normal_pdf, -12.0, 12.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_odd_integrand_vanishes(self):
-        value = integrate_real_line(lambda x: x * std_normal_pdf(x))
+        value = integrate_interval(lambda x: x * std_normal_pdf(x), -12.0, 12.0)
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_exponential_tilt_moment(self):
@@ -134,7 +203,7 @@ class TestQuadrature:
             return np.exp(-2.0 * np.asarray(x) + 2.0) * envelope
 
         expected = math.exp(4.92)
-        value = integrate_real_line(integrand, center=0.5, scale=1.4)
+        value = integrate_interval(integrand, 0.5 - 12 * 1.4, 0.5 + 12 * 1.4)
         assert value == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize("mean", [-5.0, -1.0, 0.0, 2.5, 5.0])
@@ -144,20 +213,14 @@ class TestQuadrature:
             z = (np.asarray(x) - mean) / sd
             return np.exp(-0.5 * z * z) / (sd * math.sqrt(2 * math.pi))
 
-        value = integrate_real_line(density, center=mean, scale=sd)
+        value = integrate_interval(density, mean - 12 * sd, mean + 12 * sd)
         assert abs(value - 1.0) < 1e-9
 
     def test_non_finite_integrand_raises(self):
         with pytest.raises(NonFinite):
             integrate_interval(lambda x: np.where(np.abs(x - 0.5) < 0.2, np.nan, 1.0), 0.0, 1.0)
         with pytest.raises(NonFinite):
-            integrate_real_line(lambda x: np.where(np.abs(x) < 0.1, np.inf, 0.0))
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(truncation_halfwidth=4.0)
+            integrate_interval(lambda x: np.where(np.abs(x) < 0.1, np.inf, 0.0), -12.0, 12.0)
 
     def test_bracket_validation(self):
         with pytest.raises(ValueError):

@@ -102,6 +102,15 @@ class TestEmEstimate:
             est = qs.em_estimate(pop_eval(invariant_test, q), train.ratio)
             assert est.value == pytest.approx(q, abs=1e-6)
 
+    def test_population_em_exact_on_prior_and_invariant_cells(self, train, invariant_test):
+        # the node measure of a derived population is the one its mixture
+        # weight was solved on, so EM recovers q to rounding
+        for model in (train, invariant_test):
+            population = qs.PopulationEvaluator(model)
+            for q in GRID:
+                est = qs.em_estimate(population.at_prevalence(q), train.ratio)
+                assert abs(est.value - q) <= 1e-12
+
     def test_sqrt_ratio_witness(self, train, sqrt_test):
         est = qs.em_estimate(pop_eval(sqrt_test, 0.01), train.ratio)
         assert est.value == pytest.approx(0.1307, abs=5e-4)
@@ -210,6 +219,30 @@ class TestSampleEvaluator:
         evaluator = fixed_sample_evaluator([0.0, 0.5, 2.0, 3.0])
         assert evaluator.predict_positive_rate(clf) == 0.5
 
+    def test_measure_is_features_with_equal_weights(self):
+        evaluator = fixed_sample_evaluator([1.0, 2.0, 3.0, 4.0])
+        points, weight = evaluator.measure()
+        assert points.tolist() == [1.0, 2.0, 3.0, 4.0] and weight == 0.25
+
     def test_expect_is_a_plain_mean(self):
         evaluator = fixed_sample_evaluator([1.0, 2.0, 3.0])
         assert evaluator.expect(lambda x: x * x) == pytest.approx(14.0 / 3.0, rel=1e-15)
+
+
+class TestPopulationEvaluator:
+    def test_measure_is_the_marginal_on_fixed_nodes(self, train):
+        evaluator = qs.PopulationEvaluator(train.with_prevalence(0.2))
+        points, weights = evaluator.measure()
+        assert points.shape == weights.shape == (256 * 15,)
+        assert float(np.sum(weights)) == pytest.approx(1.0, abs=1e-14)
+        # class means 0 and 2
+        assert evaluator.expect(lambda x: x) == pytest.approx(0.8 * 2.0, abs=1e-13)
+
+    def test_at_prevalence_shares_the_nodes(self, invariant_test):
+        base = qs.PopulationEvaluator(invariant_test)
+        shifted = base.at_prevalence(0.2)
+        assert shifted.prevalence0 == 0.2 and shifted.model.f0 is invariant_test.f0
+        assert shifted.measure()[0] is base.measure()[0]
+        direct = qs.PopulationEvaluator(invariant_test.with_prevalence(0.2)).measure()[1]
+        assert np.array_equal(shifted.measure()[1], direct)
+
