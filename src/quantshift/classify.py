@@ -3,7 +3,10 @@
 The optimal decision set for class-weighted costs (a0, a1) is
 {a1 f1 < a0 f0}; because every density ratio in scope is strictly monotone,
 that set is a half-line and classifiers reduce to a feature-space cut point.
-Population probabilities of decisions are then exact CDF evaluations.
+The rate of class-0 decisions is then a CDF evaluation at the cut: exact for
+a population model (:meth:`ThresholdClassifier.rate_class0`), and an
+empirical-CDF count in the sorted features for a sample
+(:meth:`ThresholdClassifier.count_class0`).
 """
 
 from __future__ import annotations
@@ -58,13 +61,23 @@ class ThresholdClassifier:
         mass_below = cdf(self.cut)
         return mass_below if self.class0_below else 1.0 - mass_below
 
+    def count_class0(self, sorted_x: np.ndarray) -> int:
+        """Number of class-0 decisions among the ascending features ``sorted_x``.
+
+        Equals ``np.count_nonzero(self.predict(sorted_x) == 0)``, ties and
+        infinite cuts included, so the count divided by ``len(sorted_x)`` is
+        bit for bit the mean of those decisions (``1 - count_below / n``
+        would round differently).  Sorting puts NaN last, so with
+        ``class0_below=False`` the count is exact only for non-NaN features,
+        which every sampler produces.
+        """
+        if self.class0_below:
+            return int(np.searchsorted(sorted_x, self.cut, side="left"))
+        return len(sorted_x) - int(np.searchsorted(sorted_x, self.cut, side="right"))
+
 
 ALWAYS_CLASS_0 = ThresholdClassifier(cut=math.inf, posterior_threshold=0.0)
 ALWAYS_CLASS_1 = ThresholdClassifier(cut=-math.inf, posterior_threshold=1.0)
-
-
-def classify(clf: ThresholdClassifier, x):
-    return clf.predict(x)
 
 
 def weighted_bayes_classifier(train: PopulationModel, a0: float, a1: float) -> ThresholdClassifier:

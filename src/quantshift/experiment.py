@@ -301,10 +301,12 @@ def _panel_cells(setup: ScenarioSetup, panel: str) -> dict[str, list[list[float]
     for rep in range(repetitions):
         if panel == "sample":
             base = _scenario_base_stream(config, rep)
+            # only the training rates are kept, not the training sample
             train_sample = stratified_sample(
                 setup.train, config.sample_size, RngStream(config.seed, base)
             )
             tpr, fpr = SampleEvaluator(train_sample).rates_by_class(setup.min_error_classifier)
+            del train_sample
         else:
             tpr, fpr = setup.tpr, setup.fpr
         for j, q in enumerate(grid):
@@ -319,6 +321,8 @@ def _panel_cells(setup: ScenarioSetup, panel: str) -> dict[str, list[list[float]
                 for i, label in enumerate(ROW_LABELS):
                     value = _metric_value(metric, q, estimates[label], evaluator, setup)
                     per_metric[metric][i][j] += value / repetitions
+            # free this cell's sample before the next one is drawn
+            del evaluator
     return per_metric
 
 
@@ -363,13 +367,11 @@ def density_grid_csv(setup: ScenarioSetup) -> str:
     """Class-conditional densities of the training and test models on a fixed
     grid (1001 points over [-6, 8]), for external plotting."""
     xs = np.linspace(*_DENSITY_GRID_RANGE, _DENSITY_GRID_POINTS)
-    lines = ["x,train_f0,train_f1,test_f0,test_f1"]
     t = setup.train
     s = setup.test_conditionals
-    for x in (float(v) for v in xs):
-        lines.append(
-            f"{x!r},{float(t.f0(x))!r},{float(t.f1(x))!r},{float(s.f0(x))!r},{float(s.f1(x))!r}"
-        )
+    columns = (xs, t.f0(xs), t.f1(xs), s.f0(xs), s.f1(xs))
+    lines = ["x,train_f0,train_f1,test_f0,test_f1"]
+    lines.extend(",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns)))
     return "\n".join(lines) + "\n"
 
 

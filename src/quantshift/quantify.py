@@ -4,11 +4,13 @@ Count, and the EM (maximum likelihood) estimator.
 Each estimator runs against a :class:`TestEvaluator`, which answers
 questions about the test distribution: the rate of class-0 decisions of a
 classifier, and the feature distribution as a weighted point set (its
-``measure``), over which expectations are sums.  A
-:class:`PopulationEvaluator` answers them from the model (CDF evaluations and
-fixed Gauss-Legendre nodes), a :class:`SampleEvaluator` from the features of
-a sample, each weighted 1/n; estimators never look at test labels through
-either backend.
+``measure``), over which expectations are sums.  Decision sets are
+half-lines, so on both backends a rate is a CDF evaluated at the cut.  A
+:class:`PopulationEvaluator` answers from the model (the class-conditional
+CDFs and fixed Gauss-Legendre nodes); a :class:`SampleEvaluator` answers from
+the features of a sample, each weighted 1/n, and takes a rate as a count in
+its sorted features.  Estimators never look at test labels through either
+backend.
 """
 
 from __future__ import annotations
@@ -125,19 +127,29 @@ class PopulationEvaluator:
 class SampleEvaluator:
     """Empirical evaluation over the features of a test sample.
 
-    The quantification surface (``predict_positive_rate``, ``expect``) reads
-    features only.  Label-dependent queries (``rates_by_class``,
-    ``prevalence0``, used by evaluation metrics) raise :class:`LabelsHidden`
-    when the evaluator was built with ``labels_hidden=True``.
+    Rates are counts in sorted features
+    (:meth:`~quantshift.classify.ThresholdClassifier.count_class0`), so a
+    query costs a binary search rather than a pass over the sample.  The
+    quantification surface (``predict_positive_rate``, ``measure``,
+    ``expect``) reads features only; its sorted copy is built on first use
+    without the labels.  Label-dependent queries (``rates_by_class``,
+    ``prevalence0``, used by evaluation metrics) count in per-class sorted
+    features, built from the labels on the first such query; they raise
+    :class:`LabelsHidden` when the evaluator was built with
+    ``labels_hidden=True``.
     """
 
     def __init__(self, dataset: LabeledDataset, labels_hidden: bool = False):
         self.dataset = dataset
         self.labels_hidden = labels_hidden
         self._features = np.asarray(dataset.features, dtype=float)
+        self._sorted: np.ndarray | None = None
+        self._sorted_by_class: tuple[np.ndarray, np.ndarray] | None = None
 
     def predict_positive_rate(self, clf: ThresholdClassifier) -> float:
-        return float(np.mean(clf.predict(self._features) == 0))
+        if self._sorted is None:
+            self._sorted = np.sort(self._features)
+        return clf.count_class0(self._sorted) / len(self._sorted)
 
     def measure(self) -> tuple[np.ndarray, float]:
         """The features, each with weight 1/n."""
@@ -146,23 +158,28 @@ class SampleEvaluator:
     def expect(self, fn: Callable) -> float:
         return float(np.mean(fn(self._features)))
 
-    def _labels(self) -> np.ndarray:
+    def _class_features(self) -> tuple[np.ndarray, np.ndarray]:
+        """The class-0 and class-1 features, each in ascending order."""
         if self.labels_hidden:
             raise LabelsHidden("evaluator was built with labels_hidden=True")
-        return np.asarray(self.dataset.labels)
+        if self._sorted_by_class is None:
+            labels = np.asarray(self.dataset.labels)
+            by_class = []
+            for cls in (0, 1):
+                x = self._features[labels == cls]
+                x.sort()
+                by_class.append(x)
+            self._sorted_by_class = by_class[0], by_class[1]
+        return self._sorted_by_class
 
     @property
     def prevalence0(self) -> float:
-        return float(np.mean(self._labels() == 0))
+        return len(self._class_features()[0]) / len(self._features)
 
     def rates_by_class(self, clf: ThresholdClassifier) -> tuple[float, float]:
-        labels = self._labels()
-        predictions = clf.predict(self._features)
-        rates = []
-        for cls in (0, 1):
-            mask = labels == cls
-            rates.append(float(np.mean(predictions[mask] == 0)) if mask.any() else 0.0)
-        return rates[0], rates[1]
+        """(Q[g=0 | Y=0], Q[g=0 | Y=1]) as counts per class; an empty class gives 0.0."""
+        class0, class1 = self._class_features()
+        return tuple(clf.count_class0(x) / len(x) if len(x) else 0.0 for x in (class0, class1))
 
 
 def classify_and_count(evaluator: TestEvaluator, clf: ThresholdClassifier) -> PrevalenceEstimate:

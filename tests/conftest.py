@@ -1,8 +1,24 @@
+import math
+
 import pytest
+from hypothesis import strategies as st
 
 import quantshift as qs
 
 GRID = (0.01, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99)
+
+# Finite and infinite features; no NaN, which no sampler produces.
+FEATURES = st.lists(st.floats(allow_nan=False), min_size=1, max_size=40)
+
+
+def threshold_classifiers(features):
+    """Classifiers of either orientation whose cut is one of ``features``
+    (a tie), +-inf, or any other value."""
+    infinite = st.sampled_from([-math.inf, math.inf])
+    cuts = st.sampled_from(features) | infinite | st.floats(allow_nan=False)
+    return st.builds(
+        qs.ThresholdClassifier, cut=cuts, posterior_threshold=st.just(0.5), class0_below=st.booleans()
+    )
 
 
 @pytest.fixture(scope="session")

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import quantshift as qs
 from quantshift.classify import ALWAYS_CLASS_0, ALWAYS_CLASS_1
+
+from conftest import FEATURES, threshold_classifiers
 
 
 class TestBayesClassifier:
@@ -100,17 +104,17 @@ class TestAdaptThreshold:
 class TestClassify:
     def test_plain_decision(self):
         clf = qs.ThresholdClassifier(cut=1.0, posterior_threshold=0.5)
-        assert qs.classify(clf, 0.0) == 0
-        assert qs.classify(clf, 2.0) == 1
+        assert clf.predict(0.0) == 0
+        assert clf.predict(2.0) == 1
 
     def test_tie_goes_to_class_1(self):
         clf = qs.ThresholdClassifier(cut=1.0, posterior_threshold=0.5)
-        assert qs.classify(clf, 1.0) == 1
+        assert clf.predict(1.0) == 1
 
     def test_constant_classifiers(self):
         for x in (-100.0, 0.0, 100.0):
-            assert qs.classify(ALWAYS_CLASS_1, x) == 1
-            assert qs.classify(ALWAYS_CLASS_0, x) == 0
+            assert ALWAYS_CLASS_1.predict(x) == 1
+            assert ALWAYS_CLASS_0.predict(x) == 0
 
     def test_vectorized_decisions(self):
         clf = qs.ThresholdClassifier(cut=1.0, posterior_threshold=0.5)
@@ -122,3 +126,25 @@ class TestClassify:
         assert clf.rate_class0(train.cdf0) == pytest.approx(train.cdf0(1.0), abs=0.0)
         assert ALWAYS_CLASS_0.rate_class0(train.cdf0) == 1.0
         assert ALWAYS_CLASS_1.rate_class0(train.cdf0) == 0.0
+
+
+@st.composite
+def features_and_classifier(draw):
+    x = draw(FEATURES)
+    return np.asarray(x, dtype=float), draw(threshold_classifiers(x))
+
+
+_EDGES = np.array([-math.inf, 0.0, 1.0, 1.0, 2.0, math.inf])
+
+
+class TestCountClass0:
+    @given(features_and_classifier())
+    @example((_EDGES, qs.ThresholdClassifier(cut=1.0, posterior_threshold=0.5)))
+    @example((_EDGES, qs.ThresholdClassifier(cut=1.0, posterior_threshold=0.5, class0_below=False)))
+    @example((_EDGES, ALWAYS_CLASS_0))
+    @example((_EDGES, ALWAYS_CLASS_1))
+    def test_count_is_the_mean_of_predictions(self, case):
+        x, clf = case
+        count = clf.count_class0(np.sort(x))
+        assert count == np.count_nonzero(clf.predict(x) == 0)
+        assert count / len(x) == np.mean(clf.predict(x) == 0)

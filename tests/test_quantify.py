@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import quantshift as qs
 from quantshift.classify import ALWAYS_CLASS_0, ALWAYS_CLASS_1
 from quantshift.quantify import EstimateStatus, LabelsHidden, Method
 
-from conftest import GRID
+from conftest import FEATURES, GRID, threshold_classifiers
 
 PHI_1 = 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0)))  # standard normal CDF at 1
 
@@ -198,21 +200,58 @@ class TestFixedPointResidual:
             qs.fixed_point_residual(train, pop_eval(train, 0.5), 0.0)
 
 
+class _FeaturesOnly:
+    """A dataset whose labels cannot be read."""
+
+    def __init__(self, features):
+        self.features = features
+
+    @property
+    def labels(self):
+        raise AssertionError("labels were read")
+
+
+def _old_rate(clf, x):
+    """The rate of class-0 decisions as a mean over a pass of ``predict``."""
+    return float(np.mean(clf.predict(x) == 0)) if len(x) else 0.0
+
+
+@st.composite
+def labeled_features_and_classifier(draw):
+    """Features with shuffled labels, of which one class may be empty."""
+    x = draw(FEATURES)
+    labels = draw(st.lists(st.integers(0, 1), min_size=len(x), max_size=len(x)))
+    return np.asarray(x, dtype=float), np.asarray(labels), draw(threshold_classifiers(x))
+
+
 class TestSampleEvaluator:
     def test_quantifiers_never_read_labels(self, train):
         stream = qs.RngStream(5, 1)
         dataset = qs.stratified_sample(train.with_prevalence(0.3), 2000, stream)
+        seen = qs.SampleEvaluator(dataset)
         blind = qs.SampleEvaluator(dataset, labels_hidden=True)
+        unlabeled = qs.SampleEvaluator(_FeaturesOnly(dataset.features))
         clf = qs.bayes_classifier(train)
         tpr, fpr = qs.training_rates(train, clf)
-        qs.classify_and_count(blind, clf)
-        qs.acc_estimate(blind, clf, tpr, fpr)
-        qs.em_estimate(blind, train.ratio)
-        qs.cde_iterate(train, blind)
+        for evaluator in (blind, unlabeled):
+            assert qs.classify_and_count(evaluator, clf) == qs.classify_and_count(seen, clf)
+            assert qs.acc_estimate(evaluator, clf, tpr, fpr) == qs.acc_estimate(seen, clf, tpr, fpr)
+            assert qs.em_estimate(evaluator, train.ratio) == qs.em_estimate(seen, train.ratio)
+            assert qs.cde_iterate(train, evaluator) == qs.cde_iterate(train, seen)
         with pytest.raises(LabelsHidden):
             blind.rates_by_class(clf)
         with pytest.raises(LabelsHidden):
             _ = blind.prevalence0
+
+    @given(labeled_features_and_classifier())
+    @example((np.array([0.0, 0.5, 2.0]), np.array([1, 1, 1]), qs.ThresholdClassifier(1.0, 0.5)))
+    def test_rates_equal_the_mean_of_predictions(self, case):
+        x, labels, clf = case
+        evaluator = qs.SampleEvaluator(qs.LabeledDataset(x, labels, (0, 0)))
+        assert evaluator.predict_positive_rate(clf) == _old_rate(clf, x)
+        expected = (_old_rate(clf, x[labels == 0]), _old_rate(clf, x[labels == 1]))
+        assert evaluator.rates_by_class(clf) == expected
+        assert evaluator.prevalence0 == float(np.mean(labels == 0))
 
     def test_positive_rate_counts_predictions(self, train):
         clf = qs.bayes_classifier(train)  # cut at 1
