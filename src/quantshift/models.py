@@ -12,9 +12,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Protocol
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .numerics import RngStream
+from .numerics import _GL_NODES, _GL_WEIGHTS, RngStream
 
 Density = Callable[[np.ndarray], np.ndarray]
 
@@ -245,16 +244,14 @@ class GridCdf:
     interpolation.  Queries below/above the support return 0/1.
     """
 
-    _NODES, _WEIGHTS = leggauss(15)
-
     def __init__(self, density: Density, support: tuple[float, float], cells: int = 2048):
         self._density = density
         self._lo, self._hi = support
         self._edges = np.linspace(self._lo, self._hi, cells + 1)
         mids = 0.5 * (self._edges[:-1] + self._edges[1:])
         halves = 0.5 * np.diff(self._edges)
-        values = density(mids[:, None] + halves[:, None] * self._NODES[None, :])
-        masses = halves * (values @ self._WEIGHTS)
+        values = density(mids[:, None] + halves[:, None] * _GL_NODES[None, :])
+        masses = halves * (values @ _GL_WEIGHTS)
         self._cum = np.concatenate([[0.0], np.cumsum(masses)])
 
     @property
@@ -269,5 +266,5 @@ class GridCdf:
         i = int(np.searchsorted(self._edges, x, side="right")) - 1
         a = float(self._edges[i])
         mid, half = 0.5 * (a + x), 0.5 * (x - a)
-        partial = half * float(self._density(mid + half * self._NODES) @ self._WEIGHTS)
+        partial = half * float(self._density(mid + half * _GL_NODES) @ _GL_WEIGHTS)
         return min(1.0, float(self._cum[i]) + partial)

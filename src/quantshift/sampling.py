@@ -62,7 +62,8 @@ def stratified_sample(pop: PopulationModel, n: int, stream: RngStream) -> Labele
     features = np.empty(n)
     pop.sampler0.draw(stream, n0, features[:n0])
     pop.sampler1.draw(stream, n - n0, features[n0:])
-    labels = np.concatenate([np.zeros(n0, dtype=int), np.ones(n - n0, dtype=int)])
+    labels = np.zeros(n, dtype=np.int8)
+    labels[n0:] = 1
     return LabeledDataset(features, labels, (stream.seed, stream.stream_id))
 
 
@@ -115,16 +116,17 @@ class RejectionSampler:
         blocks = isinstance(self.candidate_sampler, NormalSampler)
         filled = 0
         while filled < n:
-            written = 0
             if blocks and stream._spare_gaussian is None:
-                written = self._draw_block(stream, out[filled:])
-            if not written:
-                # a pending spare, a zero u1 or a block without acceptances
-                out[filled] = rejection_draw(
-                    self.target, self.candidate_sampler, self.candidate_density, self.envelope_constant, stream
-                )
-                written = 1
-            filled += written
+                state = stream._state
+                filled += self._draw_block(stream, out[filled:])
+                if stream._state != state:
+                    # the block drew words, with or without acceptances
+                    continue
+            # a pending spare, or a zero u1 at the first pair of a block
+            out[filled] = rejection_draw(
+                self.target, self.candidate_sampler, self.candidate_density, self.envelope_constant, stream
+            )
+            filled += 1
         return out
 
     def _draw_block(self, stream: RngStream, out: np.ndarray) -> int:
@@ -198,5 +200,5 @@ def dataset_from_csv(text: str, seed_record: tuple[int, int] = (0, 0)) -> Labele
     """Parse a dataset written by :func:`dataset_to_csv`."""
     rows = [line for line in text.strip().splitlines()[1:] if line]
     features = np.array([float(r.split(",")[0]) for r in rows])
-    labels = np.array([int(r.split(",")[1]) for r in rows], dtype=int)
+    labels = np.array([int(r.split(",")[1]) for r in rows], dtype=np.int8)
     return LabeledDataset(features, labels, seed_record)

@@ -274,8 +274,8 @@ def deadline(seconds: float):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _population_tables(scenario: str, **fields) -> dict:
-    config = qs.ExperimentConfig(scenario=scenario, panels=("population",), outputs=("prevalence",), **fields)
+def _prevalence_tables(scenario: str, panel: str = "population", **fields) -> dict:
+    config = qs.ExperimentConfig(scenario=scenario, panels=(panel,), outputs=("prevalence",), **fields)
     with deadline(5.0):
         return {t.metric: t for t in qs.run_experiment(config)}
 
@@ -290,24 +290,31 @@ class TestBoundedTime:
 
     @pytest.mark.parametrize("sigma", [0.5, 0.05])
     def test_prior_shift_em_is_exact(self, sigma):
-        table = _population_tables("prior_shift", sigma=sigma)["prevalence"]
+        table = _prevalence_tables("prior_shift", sigma=sigma)["prevalence"]
         assert _all_finite(table)
         assert max(abs(v - q) for v, q in zip(table.row("EM"), DEFAULT_GRID)) <= 1e-9
 
     @pytest.mark.parametrize("scenario", ["invariant_ratio", "sqrt_ratio"])
     def test_derived_scenarios_at_sigma_one_half(self, scenario):
-        assert _all_finite(_population_tables(scenario, sigma=0.5)["prevalence"])
+        assert _all_finite(_prevalence_tables(scenario, sigma=0.5)["prevalence"])
 
     @pytest.mark.parametrize("theta", [1.35, 2.5])
     def test_invariant_ratio_far_envelope_means(self, theta):
-        table = _population_tables("invariant_ratio", envelope_mean=theta)["prevalence"]
+        table = _prevalence_tables("invariant_ratio", envelope_mean=theta)["prevalence"]
         assert _all_finite(table)
         assert max(abs(v - q) for v, q in zip(table.row("EM"), DEFAULT_GRID)) <= 1e-9
+
+    def test_invariant_ratio_sample_panel_near_the_envelope_edge(self):
+        # one test conditional takes M = 3,129 proposals per draw: 68 of its
+        # 882 proposal blocks accept nothing, and each of those once cost a
+        # scalar step of about M Python-level proposals
+        table = _prevalence_tables("invariant_ratio", panel="sample", envelope_mean=2.9, sample_size=500)["prevalence"]
+        assert _all_finite(table)
 
     @pytest.mark.parametrize("scenario", ["invariant_ratio", "sqrt_ratio"])
     def test_derived_scenarios_at_sigma_one_twentieth(self, scenario):
         try:
-            tables = _population_tables(scenario, sigma=0.05)
+            tables = _prevalence_tables(scenario, sigma=0.05)
         except _NUMERICAL_ERRORS:
             return
         assert _all_finite(tables["prevalence"])

@@ -9,7 +9,10 @@ from quantshift.numerics import (
     Bracket,
     NonFinite,
     NoSignChange,
+    _TWO_PI,
     RngStream,
+    _box_muller,
+    _libm,
     _mix64,
     find_root_bracketed,
     gauss_legendre_nodes,
@@ -49,6 +52,15 @@ def _assert_block_matches_scalar(make_stream, n: int) -> None:
         assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
         assert block._state == scalar._state
         assert block._spare_gaussian == scalar._spare_gaussian
+
+
+# Box-Muller angles are _TWO_PI * k * 2**-53 for k = 0 .. 2**53 - 1: the
+# ends of that range and k at and next to each quarter turn
+_QUARTER = 1 << 51
+_EDGE_K = sorted(
+    {0, 1, 2, (1 << 52), (1 << 53) - 1}
+    | {j * _QUARTER + d for j in range(5) for d in range(-64, 65) if 0 <= j * _QUARTER + d < 1 << 53}
+)
 
 
 def _stream(seed: int, stream_id: int = 0, pending_spare: bool = False, state: int | None = None):
@@ -300,6 +312,34 @@ class TestRngStreamBlocks:
         state = (_unmix64(1234) - (offset + 1) * _GOLDEN) & _MASK64
         assert _stream(0, state=state).uniforms(offset + 1)[-1] == 0.0
         _assert_block_matches_scalar(lambda: _stream(0, 0, pending_spare, state), 3 * BLOCK + 1)
+
+    def test_numpy_cos_sin_equal_libm_on_box_muller_angles(self):
+        # the block path takes cos/sin from numpy and the scalar path from
+        # math; the gaussians are bit-identical only where these agree
+        uniforms = RngStream(2017, 53).uniforms(1_000_000)
+        edges = np.array(_EDGE_K, dtype=float) * 2.0**-53
+        angles = _TWO_PI * np.concatenate([edges, uniforms])
+        assert angles.size > 1_000_000
+        for name in ("cos", "sin"):
+            got = getattr(np, name)(angles)
+            want = _libm(getattr(math, name), angles)
+            differ = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+            assert differ.size == 0, f"np.{name} != math.{name} at {differ.size} angles, first {angles[differ[0]]!r}"
+
+    def test_box_muller_equals_scalar_at_edge_angles(self):
+        # a stream whose second word is k << 11 draws the angle of k
+        u1, u2, expected = [], [], []
+        for k in _EDGE_K:
+            stream = _stream(0, state=(_unmix64(k << 11) - 2 * _GOLDEN) & _MASK64)
+            first, second = stream.uniforms(2)
+            assert first > 0.0 and second == k * 2.0**-53
+            u1.append(first)
+            u2.append(second)
+            stream._advance(-2)
+            expected.append([stream.next_gaussian(), stream.next_gaussian()])
+        cos_part, sin_part = _box_muller(np.array(u1), np.array(u2))
+        got = np.column_stack([cos_part, sin_part])
+        assert got.tobytes() == np.array(expected).tobytes()
 
     def test_unmix_inverts_finalizer(self):
         for word in (0, 1, 1234, _GOLDEN, _MASK64):

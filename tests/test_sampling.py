@@ -31,6 +31,7 @@ class TestStratifiedSample:
     def test_exact_class_counts(self, train):
         dataset = qs.stratified_sample(train.with_prevalence(0.3), 10_000, qs.RngStream(1, 0))
         assert int(np.sum(dataset.labels == 0)) == 3000
+        assert dataset.labels.dtype == np.int8 and np.array_equal(dataset.labels[2999:3001], [0, 1])
 
     @pytest.mark.parametrize("prevalence,expected", [(0.3, 0), (0.7, 1)])
     def test_single_instance(self, train, prevalence, expected):
@@ -261,6 +262,7 @@ class TestCsvRoundTrip:
         back = qs.dataset_from_csv(text, seed_record=dataset.seed_record)
         assert np.array_equal(back.features, dataset.features)
         assert np.array_equal(back.labels, dataset.labels)
+        assert back.labels.dtype == dataset.labels.dtype == np.int8
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
