@@ -6,6 +6,7 @@ import signal
 import pytest
 
 import quantshift as qs
+from quantshift import reference
 from quantshift.cli import _NUMERICAL_ERRORS, main
 from quantshift.experiment import (
     DEFAULT_GRID,
@@ -16,6 +17,21 @@ from quantshift.experiment import (
     tables_to_json,
 )
 from quantshift.shift import ShiftKind
+
+# `quantshift verify` output at the default configuration, byte for byte.
+VERIFY_OUTPUT = """\
+[PASS] mixture weight (invariant_ratio)  (0.7239184 vs 0.7239184)
+[PASS] mixture weight (sqrt_ratio)  (0.8152434 vs 0.8152434)
+[PASS] prevalence table (prior_shift)  (max gap 3.79e-05)
+[PASS] relative error table (prior_shift)  (max gap 1.20e-04)
+[PASS] accuracy table (prior_shift)  (max gap 4.87e-05)
+[PASS] f-measure table (prior_shift)  (max gap 1.38e-04)
+[PASS] f-measure NaN pattern (prior_shift)  ([('CDEinf', 0), ('CDEinf', 1)])
+[PASS] prevalence table (invariant_ratio)  (max gap 4.88e-05)
+[PASS] relative error table (invariant_ratio)  (max gap 1.00e-03)
+[PASS] prevalence table (sqrt_ratio)  (max gap 5.06e-05)
+[PASS] relative error table (sqrt_ratio)  (max gap 2.44e-04)
+"""
 
 
 class TestParseConfig:
@@ -245,6 +261,19 @@ class TestCli:
         assert (rerender / "prior_shift_prevalence_population.csv").read_text() == (
             outdir / "prior_shift_prevalence_population.csv"
         ).read_text()
+
+    def test_verify_prints_every_check(self, capsys):
+        assert main(["verify"]) == 0
+        assert capsys.readouterr().out == VERIFY_OUTPUT
+
+    def test_verify_names_the_one_failing_table(self, capsys, monkeypatch):
+        row = list(reference.PREVALENCE_TABLES["sqrt_ratio"]["ACC"])
+        row[4] += 0.01
+        monkeypatch.setitem(reference.PREVALENCE_TABLES["sqrt_ratio"], "ACC", tuple(row))
+        assert main(["verify"]) == 2
+        failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
+        assert len(failed) == 1
+        assert failed[0].startswith("[FAIL] prevalence table (sqrt_ratio)  (max gap ")
 
     def test_determinism_across_runs(self, tmp_path):
         config_path = tmp_path / "exp.cfg"
