@@ -32,9 +32,6 @@ from .models import (
     PopulationModel,
     binormal_density_ratio,
     binormal_population,
-    binormal_posterior,
-    conditionals_from_posterior,
-    marginal_density,
     posterior,
 )
 from .numerics import (
@@ -54,7 +51,6 @@ from .quantify import (
     SampleEvaluator,
     acc_estimate,
     cde_iterate,
-    classify_and_count,
     em_estimate,
     fixed_point_residual,
     training_rates,
@@ -63,14 +59,13 @@ from .sampling import (
     EnvelopeViolation,
     LabeledDataset,
     accept_reject_sample,
-    dataset_from_csv,
-    dataset_to_csv,
     stratified_sample,
 )
 from .shift import (
     NoInteriorSolution,
     ShiftKind,
     ShiftScenario,
+    UnresolvedMeasure,
     covariate_shift_identity_check,
     decompose_mixture,
     make_test_population,
@@ -106,6 +101,7 @@ __all__ = [
     "ShiftKind",
     "ShiftScenario",
     "ThresholdClassifier",
+    "UnresolvedMeasure",
     "acc_estimate",
     "accept_reject_sample",
     "accuracy",
@@ -113,14 +109,9 @@ __all__ = [
     "bayes_classifier",
     "binormal_density_ratio",
     "binormal_population",
-    "binormal_posterior",
     "cde_iterate",
-    "classify_and_count",
-    "conditionals_from_posterior",
     "cost_weighted_error",
     "covariate_shift_identity_check",
-    "dataset_from_csv",
-    "dataset_to_csv",
     "decompose_mixture",
     "em_estimate",
     "emit_table",
@@ -129,7 +120,6 @@ __all__ = [
     "fixed_point_residual",
     "integrate_interval",
     "make_test_population",
-    "marginal_density",
     "parse_config",
     "posterior",
     "relative_error",

@@ -5,7 +5,7 @@ Subcommands:
           and write result tables as CSV / markdown
   tables  re-render tables from a stored results.json
   verify  recompute the population panels and check every cell against the
-          embedded reference tables
+          embedded reference tables (``reference.check``)
 
 Exit codes: 0 on success, 1 for configuration errors, 2 for numerical
 failures or verification mismatches.
@@ -14,7 +14,6 @@ failures or verification mismatches.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -32,17 +31,10 @@ from .experiment import (
     tables_from_json,
     tables_to_json,
 )
-from .models import BinormalParams, binormal_population, normal_pdf
 from .numerics import NonFinite, NoSignChange
 from .quantify import DegenerateClassifier
 from .sampling import EnvelopeViolation
-from .shift import (
-    NoInteriorSolution,
-    ShiftKind,
-    ShiftScenario,
-    decompose_mixture,
-    envelope_support,
-)
+from .shift import NoInteriorSolution, ShiftKind, UnresolvedMeasure
 
 _NUMERICAL_ERRORS = (
     NoInteriorSolution,
@@ -50,6 +42,7 @@ _NUMERICAL_ERRORS = (
     NoSignChange,
     EnvelopeViolation,
     DegenerateClassifier,
+    UnresolvedMeasure,
 )
 
 # The built-in benchmark set: the prior-shift scenario reports all four
@@ -128,87 +121,19 @@ def _cmd_tables(args) -> int:
     return 0
 
 
-def _check(name: str, ok: bool, detail: str = "") -> bool:
-    status = "PASS" if ok else "FAIL"
-    suffix = f"  ({detail})" if detail else ""
-    print(f"[{status}] {name}{suffix}")
-    return ok
-
-
-def _max_gap(table: ResultTable, expected: dict, overrides: dict | None = None) -> float:
-    worst = 0.0
-    for label in table.row_labels:
-        for j, (got, want) in enumerate(zip(table.row(label), expected[label])):
-            if overrides and (table.scenario, label, j) in overrides:
-                want = overrides[(table.scenario, label, j)]
-            if math.isnan(want) or math.isnan(got):
-                continue
-            worst = max(worst, abs(got - want))
-    return worst
-
-
 def _cmd_verify(args) -> int:
     del args
-    ok = True
-
-    train = binormal_population(BinormalParams(), 0.5)
-    for kind, expected_weight in (
-        (ShiftKind.INVARIANT_RATIO, reference.MIXTURE_WEIGHT_INVARIANT),
-        (ShiftKind.SQRT_RATIO, reference.MIXTURE_WEIGHT_SQRT),
-    ):
-        scenario = ShiftScenario(kind, train, 0.5)
-        ratio = train.ratio if kind is ShiftKind.INVARIANT_RATIO else train.ratio.sqrt()
-        weight, _, _ = decompose_mixture(
-            lambda x: normal_pdf(x, scenario.envelope_mean, scenario.envelope_sd),
-            ratio,
-            envelope_support(scenario),
-        )
-        ok &= _check(
-            f"mixture weight ({kind.value})",
-            abs(weight - expected_weight) <= 5e-7,
-            f"{weight:.7f} vs {expected_weight}",
-        )
-
-    for kind in ShiftKind:
-        config = ExperimentConfig(
-            scenario=kind, panels=("population",), outputs=_BENCHMARK_OUTPUTS[kind]
-        )
-        tables = {t.metric: t for t in run_experiment(config)}
-        name = kind.value
-
-        gap = _max_gap(tables["prevalence"], reference.PREVALENCE_TABLES[name])
-        ok &= _check(f"prevalence table ({name})", gap <= 1e-3, f"max gap {gap:.2e}")
-
-        gap = _max_gap(
-            tables["relative_error"],
-            reference.RELATIVE_ERROR_TABLES[name],
-            reference.GROUND_TRUTH_OVERRIDES,
-        )
-        ok &= _check(f"relative error table ({name})", gap <= 2e-3, f"max gap {gap:.2e}")
-
-        if kind is ShiftKind.PRIOR_SHIFT:
-            gap = _max_gap(tables["accuracy"], reference.ACCURACY_TABLE)
-            ok &= _check("accuracy table (prior_shift)", gap <= 1e-3, f"max gap {gap:.2e}")
-            gap = _max_gap(tables["f_measure"], reference.F_MEASURE_TABLE)
-            ok &= _check("f-measure table (prior_shift)", gap <= 1e-3, f"max gap {gap:.2e}")
-            got_nan = {
-                (label, j)
-                for label in tables["f_measure"].row_labels
-                for j, v in enumerate(tables["f_measure"].row(label))
-                if math.isnan(v)
-            }
-            want_nan = {
-                (label, j)
-                for label, row in reference.F_MEASURE_TABLE.items()
-                for j, v in enumerate(row)
-                if math.isnan(v)
-            }
-            ok &= _check(
-                "f-measure NaN pattern (prior_shift)",
-                got_nan == want_nan,
-                f"{sorted(got_nan)}",
-            )
-    return 0 if ok else 2
+    tables, mixture_weights = [], {}
+    for config in _benchmark_configs(None, ("population",)):
+        setup = build_setup(config)
+        if config.scenario is not ShiftKind.PRIOR_SHIFT:
+            # class-0 draws accept one proposal in M = 1/q* from the envelope
+            mixture_weights[config.scenario.value] = 1.0 / setup.test_conditionals.sampler0.envelope_constant
+        tables += run_experiment(config, setup)
+    checks = reference.check(tables, mixture_weights)
+    for name, ok, detail in checks:
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}  ({detail})")
+    return 0 if all(c.ok for c in checks) else 2
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,5 +1,5 @@
 """Distribution models on the real line: the equal-variance binormal family,
-generic density-pair populations, posteriors, marginals, and density ratios.
+generic density-pair populations, posteriors, and density ratios.
 
 All densities and ratios are plain callables that accept either a float or a
 numpy array.  Populations are immutable after construction.
@@ -23,6 +23,9 @@ _NORM_CONST = 1.0 / math.sqrt(2.0 * math.pi)
 # Class-conditional support windows extend this many standard deviations past
 # the means, plus the drift of any exp-tilted integrand (see support helpers).
 TRUNCATION_HALFWIDTH = 12.0
+
+# Panels of a GridCdf table.
+_CDF_CELLS = 2048
 
 
 class InvalidThreshold(ValueError):
@@ -160,32 +163,12 @@ class PopulationModel:
         return replace(self, prevalence0=prevalence0)
 
 
-def marginal_density(pop: PopulationModel, x):
-    """Unconditional feature density p*f0 + (1-p)*f1."""
-    p = pop.prevalence0
-    return p * pop.f0(x) + (1.0 - p) * pop.f1(x)
-
-
 def posterior(pop: PopulationModel, x):
     """Feature-conditional class-0 probability p*f0 / (p*f0 + (1-p)*f1)."""
     p = pop.prevalence0
     d0 = p * pop.f0(x)
     d1 = (1.0 - p) * pop.f1(x)
     return d0 / (d0 + d1)
-
-
-def binormal_posterior(params: BinormalParams, prevalence0: float, x):
-    """Class-0 posterior of the binormal model in closed logistic form.
-
-    Equal variances make the posterior 1 / (1 + exp(a*x + b)) with
-    a = (nu - mu) / sigma^2 and b = (mu^2 - nu^2) / (2 sigma^2) + log((1-p)/p).
-    """
-    if not 0.0 < prevalence0 < 1.0:
-        raise ValueError("prevalence0 must lie strictly between 0 and 1")
-    s2 = params.sigma**2
-    a = (params.nu - params.mu) / s2
-    b = (params.mu**2 - params.nu**2) / (2.0 * s2) + math.log((1.0 - prevalence0) / prevalence0)
-    return 1.0 / (1.0 + np.exp(a * np.asarray(x, dtype=float) + b))
 
 
 def binormal_density_ratio(params: BinormalParams) -> DensityRatio:
@@ -214,40 +197,19 @@ def binormal_population(params: BinormalParams, prevalence0: float) -> Populatio
     )
 
 
-def conditionals_from_posterior(
-    f: Density, post: Callable, prevalence0: float
-) -> tuple[Density, Density]:
-    """Recover class-conditional densities from a marginal density and a posterior.
-
-    f0 = post * f / p and f1 = (1 - post) * f / (1 - p); the pair reproduces
-    the posterior when recombined with prevalence ``prevalence0``.
-    """
-    if not 0.0 < prevalence0 < 1.0:
-        raise ValueError("prevalence0 must lie strictly between 0 and 1")
-    p = prevalence0
-
-    def f0(x):
-        return post(x) * f(x) / p
-
-    def f1(x):
-        return (1.0 - post(x)) * f(x) / (1.0 - p)
-
-    return f0, f1
-
-
 class GridCdf:
     """Quadrature-backed CDF of a density on a truncated support.
 
-    The support is split into ``cells`` panels whose Gauss-Legendre integrals
+    The support is split into ``_CDF_CELLS`` panels whose Gauss-Legendre integrals
     are cached at construction; a query integrates the partial cell containing
     x, so the accuracy is that of the quadrature rule, not of any
     interpolation.  Queries below/above the support return 0/1.
     """
 
-    def __init__(self, density: Density, support: tuple[float, float], cells: int = 2048):
+    def __init__(self, density: Density, support: tuple[float, float]):
         self._density = density
         self._lo, self._hi = support
-        self._edges = np.linspace(self._lo, self._hi, cells + 1)
+        self._edges = np.linspace(self._lo, self._hi, _CDF_CELLS + 1)
         mids = 0.5 * (self._edges[:-1] + self._edges[1:])
         halves = 0.5 * np.diff(self._edges)
         values = density(mids[:, None] + halves[:, None] * _GL_NODES[None, :])

@@ -38,8 +38,6 @@ class LabelsHidden(RuntimeError):
 
 
 class Method(str, Enum):
-    CC = "CC"
-    CDE2 = "CDE2"
     CDE_INF = "CDEinf"
     ACC = "ACC"
     EM = "EM"
@@ -180,11 +178,6 @@ class SampleEvaluator:
         """(Q[g=0 | Y=0], Q[g=0 | Y=1]) as counts per class; an empty class gives 0.0."""
         class0, class1 = self._class_features()
         return tuple(clf.count_class0(x) / len(x) if len(x) else 0.0 for x in (class0, class1))
-
-
-def classify_and_count(evaluator: TestEvaluator, clf: ThresholdClassifier) -> PrevalenceEstimate:
-    """Rate of class-0 decisions, taken directly as the prevalence estimate."""
-    return PrevalenceEstimate(evaluator.predict_positive_rate(clf), Method.CC, EstimateStatus.CONVERGED)
 
 
 def training_rates(train: PopulationModel, clf: ThresholdClassifier) -> tuple[float, float]:

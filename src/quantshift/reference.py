@@ -1,16 +1,22 @@
 """Reference population-level results for the three default benchmark
-scenarios, used by the ``verify`` subcommand and the acceptance test suite.
+scenarios, and :func:`check`, the one comparison against them that the
+``verify`` subcommand and the acceptance test suite both use.
 
 Cells are stored to four decimals; ``NAN`` marks an undefined F-measure.
 ``GROUND_TRUTH_OVERRIDES`` lists the relative-error cells where the stored
 reference digits are inconsistent with the exactness of the EM estimator
 (independent high-precision evaluation gives the values recorded there);
 comparisons should prefer those entries.
+
+This module imports only the standard library and reads result tables by
+their attributes, so it can also be loaded as a plain file, without the
+package.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 NAN = math.nan
 
@@ -19,8 +25,7 @@ PREVALENCE_GRID = (0.01, 0.05, 0.10, 0.30, 0.50, 0.70, 0.90, 0.95, 0.99)
 ROW_LABELS = ("CDE1", "CDE2", "CDEinf", "ACC", "EM")
 
 # Mixture weights of the envelope decompositions behind the two derived scenarios.
-MIXTURE_WEIGHT_INVARIANT = 0.7239184
-MIXTURE_WEIGHT_SQRT = 0.8152434
+MIXTURE_WEIGHTS = {"invariant_ratio": 0.7239184, "sqrt_ratio": 0.8152434}
 
 # Class-0 prevalence estimates on populations, by scenario.
 PREVALENCE_TABLES = {
@@ -106,3 +111,77 @@ RELATIVE_ERROR_SPOT_CELLS = (
     ("prior_shift", "CDEinf", 3, 0.2038),
     ("invariant_ratio", "ACC", 4, 0.0281),
 )
+
+# Largest accepted |got - want| of a mixture weight.
+MIXTURE_WEIGHT_TOLERANCE = 5e-7
+# By metric: the name a check gives its tables, and the largest accepted
+# |got - want| of a cell.
+TABLE_CHECKS = {
+    "prevalence": ("prevalence", 1e-3),
+    "relative_error": ("relative error", 2e-3),
+    "accuracy": ("accuracy", 1e-3),
+    "f_measure": ("f-measure", 1e-3),
+}
+
+
+class Check(NamedTuple):
+    """One comparison against the reference: a ``verify`` line."""
+
+    name: str
+    ok: bool
+    detail: str
+
+
+def _reference_tables():
+    """(scenario, metric, reference rows) in the order :func:`check` reports them."""
+    for scenario in PREVALENCE_TABLES:
+        yield scenario, "prevalence", PREVALENCE_TABLES[scenario]
+        yield scenario, "relative_error", RELATIVE_ERROR_TABLES[scenario]
+        if scenario == "prior_shift":
+            yield scenario, "accuracy", ACCURACY_TABLE
+            yield scenario, "f_measure", F_MEASURE_TABLE
+
+
+def _max_gap(table, expected: dict, overrides: dict) -> float:
+    """Largest |got - want| over the cells that both sides define."""
+    worst = 0.0
+    for label in table.row_labels:
+        for j, (got, want) in enumerate(zip(table.row(label), expected[label])):
+            want = overrides.get((table.scenario, label, j), want)
+            if not (math.isnan(got) or math.isnan(want)):
+                worst = max(worst, abs(got - want))
+    return worst
+
+
+def _nan_cells(rows) -> set[tuple[str, int]]:
+    return {(label, j) for label, row in rows for j, value in enumerate(row) if math.isnan(value)}
+
+
+def check(tables, mixture_weights: dict[str, float]) -> list[Check]:
+    """Compare population result tables and mixture weights with the reference.
+
+    ``tables`` must hold the population tables of every reference table,
+    each with ``.scenario``, ``.metric``, ``.row_labels`` and ``.row(label)``;
+    ``mixture_weights`` maps each derived scenario to its weight.  Returns
+    the mixture-weight checks, then per scenario one check per table (the
+    largest cell gap, against ``GROUND_TRUTH_OVERRIDES`` where they apply to
+    relative errors) and, after the F-measure table, whether its undefined
+    cells are exactly the reference's.
+    """
+    checks = []
+    for scenario, want in MIXTURE_WEIGHTS.items():
+        got = mixture_weights[scenario]
+        ok = abs(got - want) <= MIXTURE_WEIGHT_TOLERANCE
+        checks.append(Check(f"mixture weight ({scenario})", ok, f"{got:.7f} vs {want}"))
+    by_name = {(table.scenario, table.metric): table for table in tables}
+    for scenario, metric, expected in _reference_tables():
+        table = by_name[scenario, metric]
+        overrides = GROUND_TRUTH_OVERRIDES if metric == "relative_error" else {}
+        gap = _max_gap(table, expected, overrides)
+        title, tolerance = TABLE_CHECKS[metric]
+        checks.append(Check(f"{title} table ({scenario})", gap <= tolerance, f"max gap {gap:.2e}"))
+        if metric == "f_measure":
+            got_nan = _nan_cells((label, table.row(label)) for label in table.row_labels)
+            ok = got_nan == _nan_cells(expected.items())
+            checks.append(Check(f"f-measure NaN pattern ({scenario})", ok, f"{sorted(got_nan)}"))
+    return checks

@@ -187,18 +187,3 @@ def accept_reject_sample(
         raise ValueError("count must be nonnegative")
     return RejectionSampler(target, candidate_sampler, candidate_density, M).draw(stream, count)
 
-
-def dataset_to_csv(dataset: LabeledDataset) -> str:
-    """Render a dataset as CSV with round-trip decimal formatting."""
-    lines = ["feature,label"]
-    for x, y in zip(dataset.features, dataset.labels):
-        lines.append(f"{float(x)!r},{int(y)}")
-    return "\n".join(lines) + "\n"
-
-
-def dataset_from_csv(text: str, seed_record: tuple[int, int] = (0, 0)) -> LabeledDataset:
-    """Parse a dataset written by :func:`dataset_to_csv`."""
-    rows = [line for line in text.strip().splitlines()[1:] if line]
-    features = np.array([float(r.split(",")[0]) for r in rows])
-    labels = np.array([int(r.split(",")[1]) for r in rows], dtype=np.int8)
-    return LabeledDataset(features, labels, seed_record)

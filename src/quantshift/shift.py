@@ -32,6 +32,8 @@ from .sampling import RejectionSampler
 # Existence of an interior mixture weight requires both ratio moments to
 # exceed 1; borderline cases error out rather than silently clamp.
 _MOMENT_MARGIN = 1e-9
+# Largest accepted |mass - 1| of a test conditional's CDF table.
+_MASS_TOLERANCE = 1e-9
 
 
 class ShiftKind(str, Enum):
@@ -46,6 +48,11 @@ class NoInteriorSolution(ArithmeticError):
     def __init__(self, message: str, failed_moment: str):
         super().__init__(message)
         self.failed_moment = failed_moment
+
+
+class UnresolvedMeasure(ArithmeticError):
+    """A test conditional's CDF table does not integrate to 1 over its support,
+    so the quadrature grid does not resolve the decomposition."""
 
 
 @dataclass(frozen=True)
@@ -139,7 +146,7 @@ def envelope_support(scenario: ShiftScenario) -> tuple[float, float]:
     return (scenario.envelope_mean - pad, scenario.envelope_mean + pad)
 
 
-def make_test_population(scenario: ShiftScenario, cdf_cells: int = 2048) -> PopulationModel:
+def make_test_population(scenario: ShiftScenario) -> PopulationModel:
     """Build the test population described by ``scenario``.
 
     Under prior probability shift the training conditionals are reused with
@@ -147,6 +154,11 @@ def make_test_population(scenario: ShiftScenario, cdf_cells: int = 2048) -> Popu
     from the envelope decomposition and is the same for every test prevalence;
     their CDFs are quadrature-backed and their samplers accept-reject with the
     exact envelope constants 1/q* (class 0) and 1/(1-q*) (class 1).
+
+    Raises:
+        NoInteriorSolution: if the envelope admits no interior mixture weight.
+        UnresolvedMeasure: if either conditional's CDF mass is more than 1e-9
+            from 1.
     """
     if scenario.kind is ShiftKind.PRIOR_SHIFT:
         return scenario.train.with_prevalence(scenario.test_prevalence0)
@@ -160,12 +172,19 @@ def make_test_population(scenario: ShiftScenario, cdf_cells: int = 2048) -> Popu
     support = envelope_support(scenario)
     q_star, h0, h1 = decompose_mixture(h_star, ratio, support)
 
+    cdf0, cdf1 = GridCdf(h0, support), GridCdf(h1, support)
+    masses = (cdf0.total_mass, cdf1.total_mass)
+    if not all(abs(mass - 1.0) <= _MASS_TOLERANCE for mass in masses):
+        raise UnresolvedMeasure(
+            f"the test conditionals have masses {masses[0]!r} and {masses[1]!r} on {support}; "
+            "the quadrature grid does not resolve them"
+        )
     proposal = NormalSampler(mean, sd)
     return PopulationModel(
         f0=h0,
         f1=h1,
-        cdf0=GridCdf(h0, support, cells=cdf_cells),
-        cdf1=GridCdf(h1, support, cells=cdf_cells),
+        cdf0=cdf0,
+        cdf1=cdf1,
         prevalence0=scenario.test_prevalence0,
         support=support,
         ratio=ratio,

@@ -1,4 +1,6 @@
+import contextlib
 import math
+import signal
 
 import pytest
 from hypothesis import strategies as st
@@ -9,6 +11,22 @@ GRID = (0.01, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99)
 
 # Finite and infinite features; no NaN, which no sampler produces.
 FEATURES = st.lists(st.floats(allow_nan=False), min_size=1, max_size=40)
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Fail the enclosed block if it runs longer than ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def threshold_classifiers(features):

@@ -2,11 +2,12 @@
 
 Each test below implements one acceptance criterion at its stated tolerance
 and prints a pass/fail line (run with ``pytest -s`` to see them stream).
-Population-panel numbers are checked against the embedded reference tables;
-sample panels are checked distributionally (exact stratified counts,
-acceptance rates, Kolmogorov-Smirnov fidelity, and 5-standard-error agreement
-with the population values), since sample digits depend on a random draw that
-the reference tables do not pin down.
+Population-panel numbers are checked against the embedded reference tables
+by ``reference.check``, on the tables of one ``quantshift run --panel
+population`` run; sample panels are checked distributionally (exact
+stratified counts, acceptance rates, Kolmogorov-Smirnov fidelity, and
+5-standard-error agreement with the population values), since sample digits
+depend on a random draw that the reference tables do not pin down.
 """
 
 import contextlib
@@ -22,10 +23,10 @@ import pytest
 
 import quantshift as qs
 from quantshift import cli, reference
-from quantshift.experiment import _scenario_base_stream, emit_table
+from quantshift.experiment import _scenario_base_stream, emit_table, tables_from_json
 from quantshift.models import normal_pdf
 from quantshift.quantify import PopulationEvaluator, SampleEvaluator
-from quantshift.shift import ShiftKind, envelope_support
+from quantshift.shift import ShiftKind
 
 GRID = reference.PREVALENCE_GRID
 SEED = 42
@@ -103,39 +104,48 @@ def report(name: str, ok: bool, detail: str = "") -> None:
 
 
 @pytest.fixture(scope="module")
-def population_runs(train):
-    """Population estimates, traces, and models for all three scenarios."""
-    runs = {}
-    clf = qs.bayes_classifier(train)
-    tpr, fpr = qs.training_rates(train, clf)
+def populations(train):
+    """Test conditionals of every scenario, and the seconds each took to build."""
+    models, seconds = {}, {}
     for kind in ShiftKind:
         start = time.perf_counter()
-        test = qs.make_test_population(qs.ShiftScenario(kind, train, 0.5))
-        rows = {label: [] for label in reference.ROW_LABELS}
-        traces = []
-        statuses = []
-        for q in GRID:
-            evaluator = PopulationEvaluator(test.with_prevalence(q))
-            cde = qs.cde_iterate(train, evaluator)
-            traces.append(cde.trace)
-            statuses.append(cde.status)
-            rows["CDE1"].append(cde.trace[0])
-            rows["CDE2"].append(cde.trace[1])
-            rows["CDEinf"].append(cde.value)
-            rows["ACC"].append(qs.acc_estimate(evaluator, clf, tpr, fpr).value)
-            rows["EM"].append(qs.em_estimate(evaluator, train.ratio).value)
-        runs[kind.value] = {
-            "test": test,
-            "rows": rows,
-            "traces": traces,
-            "statuses": statuses,
-            "duration": time.perf_counter() - start,
-        }
-    return runs
+        models[kind.value] = qs.make_test_population(qs.ShiftScenario(kind, train, 0.5))
+        seconds[kind.value] = time.perf_counter() - start
+    return {"models": models, "seconds": seconds}
 
 
 @pytest.fixture(scope="module")
-def sample_run(train):
+def population_run(tmp_path_factory, populations):
+    """One `quantshift run --panel population --format both`: its exit code,
+    output directory and duration, its tables (read back from the results
+    files) and their reference checks, by name."""
+    outdir = tmp_path_factory.mktemp("population_run")
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["run", "--panel", "population", "--format", "both", "--outdir", str(outdir)])
+    duration = time.perf_counter() - start
+    tables = [t for path in sorted(outdir.glob("*_results.json")) for t in tables_from_json(path.read_text())]
+    # class-0 draws accept one proposal in M = 1/q* from the envelope
+    weights = {
+        name: 1.0 / populations["models"][name].sampler0.envelope_constant for name in reference.MIXTURE_WEIGHTS
+    }
+    return {
+        "code": code,
+        "outdir": outdir,
+        "duration": duration,
+        "tables": {(t.scenario, t.metric): t for t in tables},
+        "checks": {c.name: c for c in reference.check(tables, weights)},
+    }
+
+
+def checks_pass(run, names) -> tuple[bool, str]:
+    """Whether the named reference checks pass, and their details."""
+    checks = [run["checks"][name] for name in names]
+    return all(c.ok for c in checks), "; ".join(f"{c.name}: {c.detail}" for c in checks)
+
+
+@pytest.fixture(scope="module")
+def sample_run(train, populations):
     """Seed-42 sample panel for all scenarios, plus the generating datasets."""
     start = time.perf_counter()
     data = {}
@@ -146,7 +156,7 @@ def sample_run(train):
         )
         table = qs.run_experiment(config)[0]
         base = _scenario_base_stream(config, 0)
-        test = qs.make_test_population(qs.ShiftScenario(kind, train, 0.5))
+        test = populations["models"][kind.value]
         train_sample = qs.stratified_sample(train, N, qs.RngStream(SEED, base))
         streams = [qs.RngStream(SEED, base + 1 + j) for j in range(len(GRID))]
         datasets = [
@@ -164,19 +174,6 @@ def sample_run(train):
             "words_drawn": [stream.words_drawn for stream in streams],
         }
     return {"data": data, "duration": time.perf_counter() - start}
-
-
-def max_row_gap(got_rows, want_rows, overrides=None, scenario=None):
-    worst = 0.0
-    for label, want in want_rows.items():
-        for j, want_value in enumerate(want):
-            if overrides and (scenario, label, j) in overrides:
-                want_value = overrides[(scenario, label, j)]
-            got = got_rows[label][j]
-            if math.isnan(want_value) or math.isnan(got):
-                continue
-            worst = max(worst, abs(got - want_value))
-    return worst
 
 
 def _dataset_digest(dataset) -> tuple[str, int]:
@@ -211,10 +208,9 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def test_output_bytes_match_golden_digests(tmp_path, sample_run):
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(["run", "--panel", "population", "--format", "both", "--outdir", str(tmp_path)])
-    got = {path.name: _sha256(path.read_bytes()) for path in sorted(tmp_path.iterdir())}
+def test_output_bytes_match_golden_digests(population_run, sample_run):
+    outdir = population_run["outdir"]
+    got = {path.name: _sha256(path.read_bytes()) for path in sorted(outdir.iterdir())}
     want = GOLDEN_OUTPUTS["population_run"]
     differ = sorted(name for name in want.keys() | got.keys() if got.get(name) != want.get(name))
     for scenario, digest in GOLDEN_OUTPUTS["sample_prevalence_17g"].items():
@@ -225,7 +221,11 @@ def test_output_bytes_match_golden_digests(tmp_path, sample_run):
     detail = f"{total - len(differ)} of {total} match"
     if differ:
         detail += f"; differ: {', '.join(differ)}"
-    report("golden digests of the population run outputs and the sample tables", code == 0 and not differ, detail)
+    report(
+        "golden digests of the population run outputs and the sample tables",
+        population_run["code"] == 0 and not differ,
+        detail,
+    )
 
 
 def test_rng_stream_prefix_is_pinned():
@@ -235,134 +235,88 @@ def test_rng_stream_prefix_is_pinned():
     assert tuple(repr(gaussians.next_gaussian()) for _ in GOLDEN_GAUSSIANS) == GOLDEN_GAUSSIANS
 
 
-def test_criterion_1_mixture_decomposition(train):
-    h_star = lambda x: normal_pdf(x, 0.5, 1.4)
-    results = []
-    for kind, expected in (
-        (ShiftKind.INVARIANT_RATIO, reference.MIXTURE_WEIGHT_INVARIANT),
-        (ShiftKind.SQRT_RATIO, reference.MIXTURE_WEIGHT_SQRT),
-    ):
-        scenario = qs.ShiftScenario(kind, train, 0.5)
-        ratio = train.ratio if kind is ShiftKind.INVARIANT_RATIO else train.ratio.sqrt()
-        start = time.perf_counter()
-        weight, _, _ = qs.decompose_mixture(h_star, ratio, envelope_support(scenario))
-        elapsed = time.perf_counter() - start
-        results.append((weight, expected, elapsed))
-    ok = all(abs(w - e) <= 5e-7 and t < 1.0 for w, e, t in results)
+def test_criterion_1_mixture_decomposition(population_run, populations):
+    names = [f"mixture weight ({scenario})" for scenario in reference.MIXTURE_WEIGHTS]
+    ok, detail = checks_pass(population_run, names)
+    seconds = [populations["seconds"][scenario] for scenario in reference.MIXTURE_WEIGHTS]
+    ok &= all(t < 1.0 for t in seconds)
     report(
         "criterion 1: mixture decomposition constants",
         ok,
-        "; ".join(f"{w:.7f} vs {e} in {t:.2f}s" for w, e, t in results),
+        f"{detail}; built in {', '.join(f'{t:.2f}s' for t in seconds)}",
     )
 
 
-def test_criterion_2_prior_shift_prevalence_table(population_runs):
-    run = population_runs["prior_shift"]
-    gap = max_row_gap(run["rows"], reference.PREVALENCE_TABLES["prior_shift"])
+def population_row(population_run, scenario: str, label: str) -> tuple[float, ...]:
+    return population_run["tables"][scenario, "prevalence"].row(label)
+
+
+def test_criterion_2_prior_shift_prevalence_table(population_run):
+    ok, detail = checks_pass(population_run, ["prevalence table (prior_shift)"])
     consistency = max(
-        max(abs(v - q) for v, q in zip(run["rows"]["ACC"], GRID)),
-        max(abs(v - q) for v, q in zip(run["rows"]["EM"], GRID)),
+        abs(v - q)
+        for label in ("ACC", "EM")
+        for v, q in zip(population_row(population_run, "prior_shift", label), GRID)
     )
-    ok = gap <= 1e-3 and consistency <= 1e-8 and run["duration"] < 10.0
+    ok &= consistency <= 1e-8 and population_run["duration"] < 10.0
     report(
         "criterion 2: prior-shift population table",
         ok,
-        f"max cell gap {gap:.2e}, ACC/EM consistency gap {consistency:.2e}, {run['duration']:.1f}s",
+        f"{detail}, ACC/EM consistency gap {consistency:.2e}, whole run {population_run['duration']:.1f}s",
     )
 
 
-def test_criterion_3_invariant_ratio_prevalence_table(population_runs):
-    run = population_runs["invariant_ratio"]
-    gap = max_row_gap(run["rows"], reference.PREVALENCE_TABLES["invariant_ratio"])
-    em_gap = max(abs(v - q) for v, q in zip(run["rows"]["EM"], GRID))
-    acc_witness = run["rows"]["ACC"][GRID.index(0.5)]
-    ok = (
-        gap <= 1e-3
-        and em_gap <= 1e-6
-        and abs(acc_witness - 0.4859) <= 1e-3
-        and run["duration"] < 60.0
-    )
+def test_criterion_3_invariant_ratio_prevalence_table(population_run):
+    ok, detail = checks_pass(population_run, ["prevalence table (invariant_ratio)"])
+    em_gap = max(abs(v - q) for v, q in zip(population_row(population_run, "invariant_ratio", "EM"), GRID))
+    acc_witness = population_row(population_run, "invariant_ratio", "ACC")[GRID.index(0.5)]
+    ok &= em_gap <= 1e-6 and abs(acc_witness - 0.4859) <= 1e-3 and population_run["duration"] < 60.0
     report(
         "criterion 3: invariant-ratio population table",
         ok,
-        f"max cell gap {gap:.2e}, EM gap {em_gap:.2e}, ACC witness {acc_witness:.4f}, {run['duration']:.1f}s",
+        f"{detail}, EM gap {em_gap:.2e}, ACC witness {acc_witness:.4f}, whole run {population_run['duration']:.1f}s",
     )
 
 
-def test_criterion_4_sqrt_ratio_prevalence_table(population_runs):
-    run = population_runs["sqrt_ratio"]
-    gap = max_row_gap(run["rows"], reference.PREVALENCE_TABLES["sqrt_ratio"])
-    em_witness = run["rows"]["EM"][GRID.index(0.3)]
-    ok = gap <= 1e-3 and abs(em_witness - 0.3500) <= 1e-3 and abs(em_witness - 0.3) > 0.005
-    report(
-        "criterion 4: sqrt-ratio population table",
-        ok,
-        f"max cell gap {gap:.2e}, EM witness {em_witness:.4f}",
-    )
+def test_criterion_4_sqrt_ratio_prevalence_table(population_run):
+    ok, detail = checks_pass(population_run, ["prevalence table (sqrt_ratio)"])
+    em_witness = population_row(population_run, "sqrt_ratio", "EM")[GRID.index(0.3)]
+    ok &= abs(em_witness - 0.3500) <= 1e-3 and abs(em_witness - 0.3) > 0.005
+    report("criterion 4: sqrt-ratio population table", ok, f"{detail}, EM witness {em_witness:.4f}")
 
 
-def test_criterion_5_accuracy_and_f_measure_tables():
-    config = qs.ExperimentConfig(panels=("population",), outputs=("accuracy", "f_measure"))
-    tables = {t.metric: t for t in qs.run_experiment(config)}
-    got_acc = {label: tables["accuracy"].row(label) for label in reference.ROW_LABELS}
-    got_f = {label: tables["f_measure"].row(label) for label in reference.ROW_LABELS}
-    acc_gap = max_row_gap(got_acc, reference.ACCURACY_TABLE)
-    f_gap = max_row_gap(got_f, reference.F_MEASURE_TABLE)
-    got_nan = {(label, j) for label, row in got_f.items() for j, v in enumerate(row) if math.isnan(v)}
-    want_nan = {
-        (label, j)
-        for label, row in reference.F_MEASURE_TABLE.items()
-        for j, v in enumerate(row)
-        if math.isnan(v)
-    }
-    ok = acc_gap <= 1e-3 and f_gap <= 1e-3 and got_nan == want_nan
-    report(
-        "criterion 5: accuracy / F-measure tables",
-        ok,
-        f"accuracy gap {acc_gap:.2e}, F gap {f_gap:.2e}, NaN cells {sorted(got_nan)}",
-    )
+def test_criterion_5_accuracy_and_f_measure_tables(population_run):
+    names = ["accuracy table (prior_shift)", "f-measure table (prior_shift)", "f-measure NaN pattern (prior_shift)"]
+    ok, detail = checks_pass(population_run, names)
+    report("criterion 5: accuracy / F-measure tables", ok, detail)
 
 
-def test_criterion_6_relative_error_tables(population_runs):
-    worst = 0.0
-    for scenario, expected in reference.RELATIVE_ERROR_TABLES.items():
-        rows = population_runs[scenario]["rows"]
-        got = {
-            label: [qs.relative_error(q, v) for q, v in zip(GRID, rows[label])]
-            for label in reference.ROW_LABELS
-        }
-        worst = max(
-            worst,
-            max_row_gap(got, expected, reference.GROUND_TRUTH_OVERRIDES, scenario),
-        )
-    spot_gaps = []
-    for scenario, label, j, value in reference.RELATIVE_ERROR_SPOT_CELLS:
-        got = qs.relative_error(GRID[j], population_runs[scenario]["rows"][label][j])
-        spot_gaps.append(abs(got - value))
-    ok = worst <= 2e-3 and all(gap <= 2e-3 for gap in spot_gaps)
-    report(
-        "criterion 6: relative-error tables",
-        ok,
-        f"max cell gap {worst:.2e}, spot gaps {[f'{g:.1e}' for g in spot_gaps]}",
-    )
+def test_criterion_6_relative_error_tables(population_run):
+    names = [f"relative error table ({scenario})" for scenario in reference.RELATIVE_ERROR_TABLES]
+    ok, detail = checks_pass(population_run, names)
+    spot_gaps = [
+        abs(population_run["tables"][scenario, "relative_error"].row(label)[j] - value)
+        for scenario, label, j, value in reference.RELATIVE_ERROR_SPOT_CELLS
+    ]
+    ok &= all(gap <= 2e-3 for gap in spot_gaps)
+    report("criterion 6: relative-error tables", ok, f"{detail}; spot gaps {[f'{g:.1e}' for g in spot_gaps]}")
 
 
-def test_criterion_7_cde_iterate_properties(train, population_runs):
+def test_criterion_7_cde_iterate_properties(train, populations):
     monotone = True
     converged = True
     residual_worst = 0.0
-    for run in population_runs.values():
-        converged &= all(s is qs.EstimateStatus.CONVERGED for s in run["statuses"])
-        for trace, q in zip(run["traces"], GRID):
-            tail = np.diff(trace[1:])
+    for scenario, test in populations["models"].items():
+        for q in GRID:
+            evaluator = PopulationEvaluator(test.with_prevalence(q))
+            cde = qs.cde_iterate(train, evaluator)
+            if (scenario, q) == ("prior_shift", 0.01):
+                prefix = cde.trace[:2]
+            converged &= cde.status is qs.EstimateStatus.CONVERGED
+            tail = np.diff(cde.trace[1:])
             monotone &= bool(np.all(tail >= 0.0) or np.all(tail <= 0.0))
-            limit = trace[-1]
-            if 1e-6 < limit < 1.0 - 1e-6:
-                evaluator = PopulationEvaluator(run["test"].with_prevalence(q))
-                residual_worst = max(
-                    residual_worst, abs(qs.fixed_point_residual(train, evaluator, limit))
-                )
-    prefix = population_runs["prior_shift"]["traces"][0][:2]
+            if 1e-6 < cde.value < 1.0 - 1e-6:
+                residual_worst = max(residual_worst, abs(qs.fixed_point_residual(train, evaluator, cde.value)))
     prefix_ok = abs(prefix[0] - 0.1655) <= 1e-3 and abs(prefix[1] - 0.0406) <= 1e-3
     ok = monotone and converged and residual_worst < 1e-6 and prefix_ok
     report(
@@ -418,7 +372,7 @@ def _estimate_se(train, method, j, pop_rows, test, sample_value, tpr, fpr):
     raise ValueError(method)
 
 
-def test_criterion_8_sample_panels(train, population_runs, sample_run):
+def test_criterion_8_sample_panels(train, population_run, sample_run):
     clf = qs.bayes_classifier(train)
     tpr, fpr = qs.training_rates(train, clf)
 
@@ -426,7 +380,8 @@ def test_criterion_8_sample_panels(train, population_runs, sample_run):
     agreement_ok = True
     worst_pull = 0.0
     for scenario, data in sample_run["data"].items():
-        pop_rows = population_runs[scenario]["rows"]
+        pop_table = population_run["tables"][scenario, "prevalence"]
+        pop_rows = {label: pop_table.row(label) for label in pop_table.row_labels}
         for method in reference.ROW_LABELS:
             for j in INTERIOR:
                 sample_value = data["table"].row(method)[j]
@@ -447,11 +402,8 @@ def test_criterion_8_sample_panels(train, population_runs, sample_run):
     # (c) accept-reject acceptance rates within 0.02 of 1/M
     rates_ok = True
     h_star = lambda x: normal_pdf(x, 0.5, 1.4)
-    for kind, weight in (
-        (ShiftKind.INVARIANT_RATIO, reference.MIXTURE_WEIGHT_INVARIANT),
-        (ShiftKind.SQRT_RATIO, reference.MIXTURE_WEIGHT_SQRT),
-    ):
-        test = sample_run["data"][kind.value]["test"]
+    for scenario, weight in reference.MIXTURE_WEIGHTS.items():
+        test = sample_run["data"][scenario]["test"]
         for target, rate in ((test.f0, weight), (test.f1, 1.0 - weight)):
             proposals = 0
 
@@ -521,8 +473,8 @@ def test_criterion_9_bayes_optimality_oracle(train):
     report("criterion 9: Bayes-optimality oracle", ok, f"worst margin {worst_margin:.2e}")
 
 
-def test_criterion_10_covariate_shift_coincidence(train, population_runs):
-    test = population_runs["invariant_ratio"]["test"]
+def test_criterion_10_covariate_shift_coincidence(train, populations):
+    test = populations["models"]["invariant_ratio"]
     matched = qs.covariate_shift_identity_check(train, test.with_prevalence(0.5))
     shifted = qs.covariate_shift_identity_check(train, test.with_prevalence(0.3))
     ok = matched <= 1e-10 and shifted > 1e-3

@@ -1,7 +1,5 @@
-import contextlib
 import json
 import math
-import signal
 
 import pytest
 
@@ -17,6 +15,8 @@ from quantshift.experiment import (
     tables_to_json,
 )
 from quantshift.shift import ShiftKind
+
+from conftest import deadline
 
 # `quantshift verify` output at the default configuration, byte for byte.
 VERIFY_OUTPUT = """\
@@ -247,6 +247,13 @@ class TestCli:
         )
         assert main(["run", str(config_path), "--outdir", str(tmp_path / "out")]) == 2
 
+    def test_unresolved_measure_exit_code(self, tmp_path, capsys):
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text("scenario = invariant_ratio\nsigma = 0.1\npanels = population\n")
+        assert main(["run", str(config_path), "--outdir", str(tmp_path / "out")]) == 2
+        assert "test conditionals have masses" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_tables_rerender(self, tmp_path):
         config_path = tmp_path / "exp.cfg"
         config_path.write_text(
@@ -285,22 +292,6 @@ class TestCli:
         main(["run", str(config_path), "--outdir", str(out2)])
         for name in ("prior_shift_prevalence_sample_full.csv", "prior_shift_prevalence_population_full.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-
-@contextlib.contextmanager
-def deadline(seconds: float):
-    """Fail the enclosed block if it runs longer than ``seconds``."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def _prevalence_tables(scenario: str, panel: str = "population", **fields) -> dict:

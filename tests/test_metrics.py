@@ -15,7 +15,7 @@ class TestRelativeError:
     def test_full_precision_example(self, train):
         # relative error of the plain counting estimate at true prevalence 0.01
         clf = qs.bayes_classifier(train)
-        estimate = qs.classify_and_count(qs.PopulationEvaluator(train.with_prevalence(0.01)), clf).value
+        estimate = qs.PopulationEvaluator(train.with_prevalence(0.01)).predict_positive_rate(clf)
         assert qs.relative_error(0.01, estimate) == pytest.approx(15.5482, abs=5e-4)
 
     def test_exact_estimate(self):

@@ -12,31 +12,44 @@ def params():
     return qs.BinormalParams(mu=0.0, nu=2.0, sigma=1.0)
 
 
-class TestBinormalPosterior:
-    def test_midpoint_symmetry(self, params):
-        assert qs.binormal_posterior(params, 0.5, 1.0) == pytest.approx(0.5, abs=1e-15)
+def logistic_posterior(params, prevalence0, x):
+    """Class-0 posterior of the binormal model in closed logistic form.
 
-    def test_logistic_value_at_zero(self, params):
+    Equal variances make the posterior 1 / (1 + exp(a*x + b)) with
+    a = (nu - mu) / sigma^2 and b = (mu^2 - nu^2) / (2 sigma^2) + log((1-p)/p).
+    """
+    s2 = params.sigma**2
+    a = (params.nu - params.mu) / s2
+    b = (params.mu**2 - params.nu**2) / (2.0 * s2) + math.log((1.0 - prevalence0) / prevalence0)
+    return 1.0 / (1.0 + np.exp(a * np.asarray(x, dtype=float) + b))
+
+
+class TestBinormalPosterior:
+    def test_midpoint_symmetry(self, train):
+        assert qs.posterior(train, 1.0) == pytest.approx(0.5, abs=1e-15)
+
+    def test_logistic_value_at_zero(self, train):
         # logistic form with a = 2, b = -2 gives 1 / (1 + e^-2) at x = 0
         expected = 1.0 / (1.0 + math.exp(-2.0))
-        assert qs.binormal_posterior(params, 0.5, 0.0) == pytest.approx(expected, abs=1e-12)
+        assert qs.posterior(train, 0.0) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.880797, abs=5e-7)
 
     def test_density_duality_on_grid(self, params, train):
         # posterior must equal p f0 / (p f0 + (1-p) f1) pointwise
         grid = np.linspace(-6.0, 8.0, 1000)
         direct = qs.posterior(train, grid)
-        logistic = qs.binormal_posterior(params, 0.5, grid)
+        logistic = logistic_posterior(params, 0.5, grid)
         assert np.max(np.abs(direct - logistic)) < 1e-12
 
     def test_unequal_prevalence_duality(self, params):
         pop = qs.binormal_population(params, 0.2)
         grid = np.linspace(-4.0, 6.0, 200)
-        assert np.max(np.abs(qs.posterior(pop, grid) - qs.binormal_posterior(params, 0.2, grid))) < 1e-12
+        assert np.max(np.abs(qs.posterior(pop, grid) - logistic_posterior(params, 0.2, grid))) < 1e-12
 
     def test_prevalence_validation(self, params):
+        # the posterior takes its prevalence from a population, which rejects 0
         with pytest.raises(ValueError):
-            qs.binormal_posterior(params, 0.0, 1.0)
+            qs.binormal_population(params, 0.0)
 
 
 class TestDensityRatio:
@@ -79,50 +92,20 @@ class TestDensityRatio:
         assert np.allclose(implied, train.ratio(grid), rtol=1e-12)
 
 
-class TestMarginalDensity:
-    def test_degenerate_mixture(self, params):
-        pop = qs.binormal_population(params, 0.5)
-        same = qs.PopulationModel(
-            f0=pop.f0, f1=pop.f0, cdf0=pop.cdf0, cdf1=pop.cdf0,
-            prevalence0=0.5, support=pop.support,
-        )
-        grid = np.linspace(-4.0, 4.0, 50)
-        assert np.allclose(qs.marginal_density(same, grid), pop.f0(grid), rtol=1e-15)
+def marginal(pop, x):
+    return pop.prevalence0 * pop.f0(x) + (1.0 - pop.prevalence0) * pop.f1(x)
 
+
+class TestMarginalDensity:
     def test_binormal_value(self, train):
         # 0.5 phi(1) + 0.5 phi(-1) = phi(1)
         phi1 = math.exp(-0.5) / math.sqrt(2 * math.pi)
-        assert qs.marginal_density(train, 1.0) == pytest.approx(phi1, rel=1e-14)
+        assert marginal(train, 1.0) == pytest.approx(phi1, rel=1e-14)
         assert phi1 == pytest.approx(0.241971, abs=5e-7)
 
     def test_normalization(self, train):
-        total = qs.integrate_interval(lambda x: qs.marginal_density(train, x), *train.support)
+        total = qs.integrate_interval(lambda x: marginal(train, x), *train.support)
         assert total == pytest.approx(1.0, abs=1e-9)
-
-
-class TestConditionalsFromPosterior:
-    def test_constant_posterior_gives_marginal(self, train):
-        f = lambda x: qs.marginal_density(train, x)
-        f0, f1 = qs.conditionals_from_posterior(f, lambda x: 0.5 * np.ones_like(np.asarray(x, dtype=float)), 0.5)
-        grid = np.linspace(-4.0, 6.0, 101)
-        assert np.allclose(f0(grid), f(grid), rtol=1e-14)
-        assert np.allclose(f1(grid), f(grid), rtol=1e-14)
-
-    def test_binormal_roundtrip(self, params, train):
-        f = lambda x: qs.marginal_density(train, x)
-        post = lambda x: qs.binormal_posterior(params, 0.5, x)
-        f0, f1 = qs.conditionals_from_posterior(f, post, 0.5)
-        grid = np.linspace(-4.0, 6.0, 500)
-        assert np.allclose(f0(grid), normal_pdf(grid, 0.0, 1.0), rtol=1e-10, atol=1e-13)
-        assert np.allclose(f1(grid), normal_pdf(grid, 2.0, 1.0), rtol=1e-10, atol=1e-13)
-
-    def test_ratio_identity(self, params, train):
-        f = lambda x: qs.marginal_density(train, x)
-        post = lambda x: qs.binormal_posterior(params, 0.5, x)
-        f0, f1 = qs.conditionals_from_posterior(f, post, 0.5)
-        grid = np.linspace(-3.0, 5.0, 200)
-        implied = post(grid) / (1.0 - post(grid)) * (1.0 - 0.5) / 0.5
-        assert np.allclose(f0(grid) / f1(grid), implied, rtol=1e-12)
 
 
 class TestGridCdf:

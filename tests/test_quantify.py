@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import quantshift as qs
 from quantshift.classify import ALWAYS_CLASS_0, ALWAYS_CLASS_1
-from quantshift.quantify import EstimateStatus, LabelsHidden, Method
+from quantshift.quantify import EstimateStatus, LabelsHidden
 
 from conftest import FEATURES, GRID, threshold_classifiers
 
@@ -25,21 +25,21 @@ def fixed_sample_evaluator(features, labels=None):
 
 
 class TestClassifyAndCount:
+    # Classify & Count is the first CDE-Iterate iterate: the class-0 rate of
+    # the equal-cost Bayes classifier
     def test_prior_shift_small_prevalence(self, train):
-        clf = qs.bayes_classifier(train)
-        est = qs.classify_and_count(pop_eval(train, 0.01), clf)
-        assert est.value == pytest.approx(0.1655, abs=5e-5)
-        assert est.method is Method.CC and est.status is EstimateStatus.CONVERGED
+        evaluator = pop_eval(train, 0.01)
+        cc = qs.cde_iterate(train, evaluator).trace[0]
+        assert cc == pytest.approx(0.1655, abs=5e-5)
+        assert cc == evaluator.predict_positive_rate(qs.bayes_classifier(train))
 
     def test_symmetric_point(self, train):
-        clf = qs.bayes_classifier(train)
-        est = qs.classify_and_count(pop_eval(train, 0.5), clf)
-        assert est.value == pytest.approx(0.5, abs=1e-12)
+        cc = qs.cde_iterate(train, pop_eval(train, 0.5)).trace[0]
+        assert cc == pytest.approx(0.5, abs=1e-12)
 
     def test_invariant_ratio_small_prevalence(self, train, invariant_test):
-        clf = qs.bayes_classifier(train)
-        est = qs.classify_and_count(pop_eval(invariant_test, 0.01), clf)
-        assert est.value == pytest.approx(0.1641, abs=5e-5)
+        cc = qs.cde_iterate(train, pop_eval(invariant_test, 0.01)).trace[0]
+        assert cc == pytest.approx(0.1641, abs=5e-5)
 
 
 class TestTrainingRates:
@@ -234,7 +234,7 @@ class TestSampleEvaluator:
         clf = qs.bayes_classifier(train)
         tpr, fpr = qs.training_rates(train, clf)
         for evaluator in (blind, unlabeled):
-            assert qs.classify_and_count(evaluator, clf) == qs.classify_and_count(seen, clf)
+            assert evaluator.predict_positive_rate(clf) == seen.predict_positive_rate(clf)
             assert qs.acc_estimate(evaluator, clf, tpr, fpr) == qs.acc_estimate(seen, clf, tpr, fpr)
             assert qs.em_estimate(evaluator, train.ratio) == qs.em_estimate(seen, train.ratio)
             assert qs.cde_iterate(train, evaluator) == qs.cde_iterate(train, seen)

@@ -10,6 +10,7 @@ import quantshift as qs
 from quantshift.models import NormalSampler, normal_pdf
 from quantshift.numerics import _BLOCK_PAIRS
 from quantshift.sampling import RejectionSampler, rejection_draw
+from conftest import deadline
 from test_numerics import _GOLDEN, _MASK64, _stream, _unmix64
 
 
@@ -52,7 +53,6 @@ class TestStratifiedSample:
         b = qs.stratified_sample(train, 500, qs.RngStream(42, 9))
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
-        assert qs.dataset_to_csv(a) == qs.dataset_to_csv(b)
 
     def test_different_streams_differ(self, train):
         a = qs.stratified_sample(train, 500, qs.RngStream(42, 9))
@@ -211,7 +211,10 @@ class TestRejectionSamplerBlocks:
         offset = 4 * 100
         state = (_unmix64(1234) - (offset + 1) * _GOLDEN) & _MASK64
         assert _stream(0, state=state).uniforms(offset + 1)[-1] == 0.0
-        _assert_block_matches_scalar(invariant_test.sampler0, lambda: _stream(0, 0, pending_spare, state), 500)
+        # a sampler that keeps drawing after a block without progress loops
+        # forever; fail instead of hanging
+        with deadline(5.0):
+            _assert_block_matches_scalar(invariant_test.sampler0, lambda: _stream(0, 0, pending_spare, state), 500)
 
     def test_envelope_violation_on_the_same_draw(self):
         sampler = RejectionSampler(
@@ -254,16 +257,7 @@ class TestNormalSampler:
         assert buffer[0] == buffer[102] == 0.0
 
 
-class TestCsvRoundTrip:
-    def test_exact_roundtrip(self, train):
-        dataset = qs.stratified_sample(train, 50, qs.RngStream(42, 1))
-        text = qs.dataset_to_csv(dataset)
-        assert text.splitlines()[0] == "feature,label"
-        back = qs.dataset_from_csv(text, seed_record=dataset.seed_record)
-        assert np.array_equal(back.features, dataset.features)
-        assert np.array_equal(back.labels, dataset.labels)
-        assert back.labels.dtype == dataset.labels.dtype == np.int8
-
+class TestLabeledDataset:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             qs.LabeledDataset(np.zeros(3), np.zeros(2, dtype=int), (0, 0))

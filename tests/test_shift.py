@@ -120,6 +120,26 @@ class TestMakeTestPopulation:
         with pytest.raises(ValueError):
             qs.ShiftScenario(qs.ShiftKind.PRIOR_SHIFT, train, 0.5, envelope_sd=0.0)
 
+    # class-0 and class-1 CDF masses - 1: +1.2e-3 and -2.2e-3 (invariant ratio,
+    # sigma = 0.2), -2.2e-2 and +4.1e-2 (sigma = 0.1), -3.0e-3 and +5.3e-3
+    # (sqrt ratio, sigma = 0.1)
+    @pytest.mark.parametrize(
+        "kind,sigma",
+        [(qs.ShiftKind.INVARIANT_RATIO, 0.2), (qs.ShiftKind.INVARIANT_RATIO, 0.1), (qs.ShiftKind.SQRT_RATIO, 0.1)],
+    )
+    def test_unresolved_measure_raises(self, kind, sigma):
+        train = qs.binormal_population(qs.BinormalParams(sigma=sigma), 0.5)
+        with pytest.raises(qs.UnresolvedMeasure, match="test conditionals have masses"):
+            qs.make_test_population(qs.ShiftScenario(kind, train, 0.5))
+
+    # |mass - 1| stays below 1.7e-10 here
+    @pytest.mark.parametrize("kind,sigma", [(qs.ShiftKind.INVARIANT_RATIO, 0.3), (qs.ShiftKind.SQRT_RATIO, 0.2)])
+    def test_resolved_measure_builds(self, kind, sigma):
+        train = qs.binormal_population(qs.BinormalParams(sigma=sigma), 0.5)
+        test = qs.make_test_population(qs.ShiftScenario(kind, train, 0.5))
+        for cdf in (test.cdf0, test.cdf1):
+            assert abs(cdf.total_mass - 1.0) <= 1e-9
+
 
 class TestCovariateShiftCheck:
     def test_identical_models(self, train):
