@@ -13,19 +13,19 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .numerics import _GL_NODES, _GL_WEIGHTS, RngStream
+from .numerics import _GL_NODES, _GL_WEIGHTS, RngStream, gauss_legendre_nodes
 
 Density = Callable[[np.ndarray], np.ndarray]
 
 _SQRT2 = math.sqrt(2.0)
 _NORM_CONST = 1.0 / math.sqrt(2.0 * math.pi)
 
-# Class-conditional support windows extend this many standard deviations past
-# the means, plus the drift of any exp-tilted integrand (see support helpers).
+# Support windows extend this many standard deviations past the means.  The
+# likelihood terms are bounded, so no integrand needs more.
 TRUNCATION_HALFWIDTH = 12.0
 
-# Panels of a GridCdf table.
-_CDF_CELLS = 2048
+_WINDOW_PANELS = 128
+_BAND_PANELS = 128
 
 
 class InvalidThreshold(ValueError):
@@ -180,10 +180,7 @@ def binormal_density_ratio(params: BinormalParams) -> DensityRatio:
 def binormal_population(params: BinormalParams, prevalence0: float) -> PopulationModel:
     """Population with normal class conditionals, analytic CDFs and exact samplers."""
     mu, nu, sigma = params.mu, params.nu, params.sigma
-    ratio = binormal_density_ratio(params)
-    # widen by the exp-tilt drift |log_slope| * sigma^2 so that ratio-weighted
-    # integrands keep Gaussian-order tails inside the window
-    pad = TRUNCATION_HALFWIDTH * sigma + abs(ratio.log_slope) * sigma**2
+    pad = TRUNCATION_HALFWIDTH * sigma
     return PopulationModel(
         f0=lambda x: normal_pdf(x, mu, sigma),
         f1=lambda x: normal_pdf(x, nu, sigma),
@@ -191,39 +188,52 @@ def binormal_population(params: BinormalParams, prevalence0: float) -> Populatio
         cdf1=lambda x: normal_cdf(x, nu, sigma),
         prevalence0=prevalence0,
         support=(mu - pad, nu + pad),
-        ratio=ratio,
+        ratio=binormal_density_ratio(params),
         sampler0=NormalSampler(mu, sigma),
         sampler1=NormalSampler(nu, sigma),
     )
 
 
-class GridCdf:
-    """Quadrature-backed CDF of a density on a truncated support.
+def panel_edges(support: tuple[float, float], ratio: DensityRatio | None) -> np.ndarray:
+    """Strictly increasing edges of at most 257 panels for a population's nodes.
 
-    The support is split into ``_CDF_CELLS`` panels whose Gauss-Legendre integrals
-    are cached at construction; a query integrates the partial cell containing
-    x, so the accuracy is that of the quadrature rule, not of any
-    interpolation.  Queries below/above the support return 0/1.
+    Equal panels span the ``support`` window; with a ``ratio``, equal panels
+    on the part of it where |log R| <= 40 join them.  The likelihood terms
+    and the derived densities turn on that band, on the scale 1/|log_slope|;
+    outside it each term is 1/q or -1/(1 - q) to double precision.
+    """
+    lo, hi = support
+    edges = np.linspace(lo, hi, _WINDOW_PANELS + 1)
+    if ratio is None:
+        return edges
+    a, b = sorted((log_r - ratio.log_offset) / ratio.log_slope for log_r in (-40.0, 40.0))
+    a, b = max(a, lo), min(b, hi)
+    if a < b:
+        edges = np.union1d(edges, np.linspace(a, b, _BAND_PANELS + 1))
+    return edges
+
+
+class GridCdf:
+    """Quadrature-backed CDF of a density on the panels between ``edges``.
+
+    The Gauss-Legendre mass of each panel is cached at construction; a query
+    adds the partial panel containing x, so the accuracy is that of the
+    quadrature rule, not of any interpolation.  Queries below/above the edges
+    return 0/1.
     """
 
-    def __init__(self, density: Density, support: tuple[float, float]):
+    def __init__(self, density: Density, edges: np.ndarray):
         self._density = density
-        self._lo, self._hi = support
-        self._edges = np.linspace(self._lo, self._hi, _CDF_CELLS + 1)
-        mids = 0.5 * (self._edges[:-1] + self._edges[1:])
-        halves = 0.5 * np.diff(self._edges)
-        values = density(mids[:, None] + halves[:, None] * _GL_NODES[None, :])
-        masses = halves * (values @ _GL_WEIGHTS)
+        self._edges = edges
+        points, weights = gauss_legendre_nodes(edges)
+        masses = (weights * density(points)).reshape(len(edges) - 1, -1).sum(axis=1)
         self._cum = np.concatenate([[0.0], np.cumsum(masses)])
-
-    @property
-    def total_mass(self) -> float:
-        return float(self._cum[-1])
+        self.total_mass = float(self._cum[-1])
 
     def __call__(self, x: float) -> float:
-        if x <= self._lo:
+        if x <= self._edges[0]:
             return 0.0
-        if x >= self._hi:
+        if x >= self._edges[-1]:
             return 1.0
         i = int(np.searchsorted(self._edges, x, side="right")) - 1
         a = float(self._edges[i])

@@ -74,13 +74,10 @@ def find_root_bracketed(f: Callable[[float], float], bracket: Bracket, tol: floa
     return 0.5 * (lo + hi)
 
 
-# 15-point Gauss-Legendre rule; exact for polynomials up to degree 29.  The
-# adaptive quadrature, the node measures and GridCdf all use it.
+# 15-point Gauss-Legendre rule; exact for polynomials up to degree 29.
 _GL_NODES, _GL_WEIGHTS = leggauss(15)
 _MAX_DEPTH = 48
 _INITIAL_PANELS = 16
-# Node measures of populations and envelopes use this many panels.
-NODE_PANELS = 256
 
 
 def _panel(f, a: float, b: float) -> float:
@@ -126,14 +123,14 @@ def integrate_interval(
     )
 
 
-def gauss_legendre_nodes(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Composite 15-point Gauss-Legendre nodes and weights on [lo, hi].
+def gauss_legendre_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Composite 15-point Gauss-Legendre nodes and weights on panels.
 
-    ``NODE_PANELS`` equal panels each carry the 15-point rule; the two flat
-    arrays list the nodes panel by panel.  A weighted sum over them
-    integrates a smooth function over [lo, hi].
+    ``edges`` are the strictly increasing panel edges; each panel carries the
+    15-point rule, and the two flat arrays list the nodes panel by panel.  A
+    weighted sum over them integrates a function over [edges[0], edges[-1]]
+    that is smooth on each panel.
     """
-    edges = np.linspace(lo, hi, NODE_PANELS + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     halves = 0.5 * np.diff(edges)
     points = mids[:, None] + halves[:, None] * _GL_NODES[None, :]

@@ -22,7 +22,7 @@ from typing import Callable, Protocol, runtime_checkable
 import numpy as np
 
 from .classify import ThresholdClassifier, weighted_bayes_classifier
-from .models import DensityRatio, PopulationModel
+from .models import DensityRatio, PopulationModel, panel_edges
 from .numerics import gauss_legendre_nodes, solve_prior_equation
 from .sampling import LabeledDataset
 
@@ -75,8 +75,8 @@ class PopulationEvaluator:
     """Exact evaluation against a test population model.
 
     Rates come from the class-conditional CDFs.  The feature distribution is
-    a fixed node measure: composite 15-point Gauss-Legendre nodes on
-    ``model.support`` (``numerics.NODE_PANELS`` = 256 panels), with weight
+    a fixed node measure: composite 15-point Gauss-Legendre nodes on the
+    panels of ``panel_edges(model.support, model.ratio)``, with weight
     q w0 + (1 - q) w1 where w0 and w1 are the node weights times f0 and f1.
     Those depend only on the conditional pair; they are computed on first
     use and shared by the evaluators that :meth:`at_prevalence` makes.
@@ -94,7 +94,7 @@ class PopulationEvaluator:
 
     def _node_values(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self._nodes is None:
-            points, weights = gauss_legendre_nodes(*self.model.support)
+            points, weights = gauss_legendre_nodes(panel_edges(self.model.support, self.model.ratio))
             self._nodes = (points, weights * self.model.f0(points), weights * self.model.f1(points))
         return self._nodes
 

@@ -24,6 +24,7 @@ from .models import (
     PopulationModel,
     TRUNCATION_HALFWIDTH,
     normal_pdf,
+    panel_edges,
     posterior,
 )
 from .numerics import gauss_legendre_nodes, solve_prior_equation
@@ -52,7 +53,7 @@ class NoInteriorSolution(ArithmeticError):
 
 class UnresolvedMeasure(ArithmeticError):
     """A test conditional's CDF table does not integrate to 1 over its support,
-    so the quadrature grid does not resolve the decomposition."""
+    so its panels do not resolve the decomposition."""
 
 
 @dataclass(frozen=True)
@@ -71,6 +72,8 @@ class ShiftScenario:
     envelope_sd: float = 1.4
 
     def __post_init__(self):
+        # accept the plain string of a kind; an unknown one raises ValueError
+        object.__setattr__(self, "kind", ShiftKind(self.kind))
         if not 0.0 < self.test_prevalence0 < 1.0:
             raise ValueError("test_prevalence0 must lie strictly between 0 and 1")
         if self.envelope_sd <= 0:
@@ -89,8 +92,8 @@ def decompose_mixture(
         integral of (R - 1) / (1 + q (R - 1)) h* dx = 0,
 
     which exists iff both E[R] > 1 and E[1/R] > 1 under h*.  The integral is
-    a sum over the fixed Gauss-Legendre node measure of ``support`` weighted
-    by h* (the nodes a population on that support uses), and
+    a sum over the Gauss-Legendre nodes of ``panel_edges(support, ratio)``
+    weighted by h* (the nodes a population on that support uses), and
     :func:`~quantshift.numerics.solve_prior_equation` finds the root.  The
     component densities are h0 = R h* / (1 + q*(R - 1)) and
     h1 = h* / (1 + q*(R - 1)), evaluated from log R so that they stay finite
@@ -99,7 +102,7 @@ def decompose_mixture(
     Raises:
         NoInteriorSolution: naming the moment inequality that failed.
     """
-    points, weights = gauss_legendre_nodes(*support)
+    points, weights = gauss_legendre_nodes(panel_edges(support, ratio))
     weights *= h_star(points)
     root = solve_prior_equation(ratio.log(points), weights)
     if root.log_moment_r <= math.log1p(_MOMENT_MARGIN):
@@ -129,23 +132,6 @@ def decompose_mixture(
     return q_star, h0, h1
 
 
-def _target_ratio(scenario: ShiftScenario) -> DensityRatio:
-    if scenario.train.ratio is None:
-        raise ValueError("training model carries no analytic density ratio")
-    if scenario.kind is ShiftKind.SQRT_RATIO:
-        return scenario.train.ratio.sqrt()
-    return scenario.train.ratio
-
-
-def envelope_support(scenario: ShiftScenario) -> tuple[float, float]:
-    """Truncation window for the envelope density and everything derived from it."""
-    ratio = _target_ratio(scenario)
-    # ratio-weighted integrands are exp-tilted normals whose centre drifts by
-    # |log_slope| * sd^2; widen the window accordingly
-    pad = TRUNCATION_HALFWIDTH * scenario.envelope_sd + abs(ratio.log_slope) * scenario.envelope_sd**2
-    return (scenario.envelope_mean - pad, scenario.envelope_mean + pad)
-
-
 def make_test_population(scenario: ShiftScenario) -> PopulationModel:
     """Build the test population described by ``scenario``.
 
@@ -163,21 +149,27 @@ def make_test_population(scenario: ShiftScenario) -> PopulationModel:
     if scenario.kind is ShiftKind.PRIOR_SHIFT:
         return scenario.train.with_prevalence(scenario.test_prevalence0)
 
-    ratio = _target_ratio(scenario)
+    ratio = scenario.train.ratio
+    if ratio is None:
+        raise ValueError("training model carries no analytic density ratio")
+    if scenario.kind is ShiftKind.SQRT_RATIO:
+        ratio = ratio.sqrt()
     mean, sd = scenario.envelope_mean, scenario.envelope_sd
 
     def h_star(x):
         return normal_pdf(x, mean, sd)
 
-    support = envelope_support(scenario)
+    pad = TRUNCATION_HALFWIDTH * sd
+    support = (mean - pad, mean + pad)
     q_star, h0, h1 = decompose_mixture(h_star, ratio, support)
 
-    cdf0, cdf1 = GridCdf(h0, support), GridCdf(h1, support)
+    edges = panel_edges(support, ratio)
+    cdf0, cdf1 = GridCdf(h0, edges), GridCdf(h1, edges)
     masses = (cdf0.total_mass, cdf1.total_mass)
     if not all(abs(mass - 1.0) <= _MASS_TOLERANCE for mass in masses):
         raise UnresolvedMeasure(
             f"the test conditionals have masses {masses[0]!r} and {masses[1]!r} on {support}; "
-            "the quadrature grid does not resolve them"
+            "the panels do not resolve them"
         )
     proposal = NormalSampler(mean, sd)
     return PopulationModel(

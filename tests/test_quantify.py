@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import quantshift as qs
 from quantshift.classify import ALWAYS_CLASS_0, ALWAYS_CLASS_1
+from quantshift.models import panel_edges
 from quantshift.quantify import EstimateStatus, LabelsHidden
 
 from conftest import FEATURES, GRID, threshold_classifiers
@@ -272,7 +273,8 @@ class TestPopulationEvaluator:
     def test_measure_is_the_marginal_on_fixed_nodes(self, train):
         evaluator = qs.PopulationEvaluator(train.with_prevalence(0.2))
         points, weights = evaluator.measure()
-        assert points.shape == weights.shape == (256 * 15,)
+        edges = panel_edges(train.support, train.ratio)
+        assert points.shape == weights.shape == ((len(edges) - 1) * 15,)
         assert float(np.sum(weights)) == pytest.approx(1.0, abs=1e-14)
         # class means 0 and 2
         assert evaluator.expect(lambda x: x) == pytest.approx(0.8 * 2.0, abs=1e-13)

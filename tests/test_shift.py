@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import quantshift as qs
+from quantshift import models
 from quantshift.models import normal_pdf
-from quantshift.shift import envelope_support
 
 
 def default_envelope(x):
@@ -11,9 +11,9 @@ def default_envelope(x):
 
 
 @pytest.fixture(scope="module")
-def envelope_window(train):
-    scenario = qs.ShiftScenario(qs.ShiftKind.INVARIANT_RATIO, train, 0.5)
-    return envelope_support(scenario)
+def envelope_window(invariant_test):
+    """The default envelope's window, which the derived conditionals share."""
+    return invariant_test.support
 
 
 class TestDecomposeMixture:
@@ -119,26 +119,82 @@ class TestMakeTestPopulation:
             qs.ShiftScenario(qs.ShiftKind.PRIOR_SHIFT, train, 1.0)
         with pytest.raises(ValueError):
             qs.ShiftScenario(qs.ShiftKind.PRIOR_SHIFT, train, 0.5, envelope_sd=0.0)
+        with pytest.raises(ValueError):
+            qs.ShiftScenario("covariate_shift", train, 0.5)
 
-    # class-0 and class-1 CDF masses - 1: +1.2e-3 and -2.2e-3 (invariant ratio,
-    # sigma = 0.2), -2.2e-2 and +4.1e-2 (sigma = 0.1), -3.0e-3 and +5.3e-3
-    # (sqrt ratio, sigma = 0.1)
-    @pytest.mark.parametrize(
-        "kind,sigma",
-        [(qs.ShiftKind.INVARIANT_RATIO, 0.2), (qs.ShiftKind.INVARIANT_RATIO, 0.1), (qs.ShiftKind.SQRT_RATIO, 0.1)],
-    )
-    def test_unresolved_measure_raises(self, kind, sigma):
-        train = qs.binormal_population(qs.BinormalParams(sigma=sigma), 0.5)
+    @pytest.mark.parametrize("kind", list(qs.ShiftKind))
+    def test_string_kind_builds_as_its_enum(self, train, kind):
+        by_enum = qs.make_test_population(qs.ShiftScenario(kind, train, 0.5))
+        scenario = qs.ShiftScenario(kind.value, train, 0.5)
+        assert scenario.kind is kind
+        by_string = qs.make_test_population(scenario)
+        for cdf in ("cdf0", "cdf1"):
+            for x in (-2.0, 0.5, 1.0, 3.0):
+                assert getattr(by_string, cdf)(x) == getattr(by_enum, cdf)(x)
+        if kind is not qs.ShiftKind.PRIOR_SHIFT:
+            assert by_string.sampler0.envelope_constant == by_enum.sampler0.envelope_constant
+            assert by_string.cdf0.total_mass == by_enum.cdf0.total_mass
+            assert by_string.cdf1.total_mass == by_enum.cdf1.total_mass
+
+    # q* lies 1.6e-12 from 0 (theta = 3.5) or from 1 (theta = -1.5), and one
+    # CDF mass is 0.0716
+    @pytest.mark.parametrize("theta", [3.5, -1.5])
+    def test_unresolved_measure_raises(self, theta):
+        train = qs.binormal_population(qs.BinormalParams(sigma=0.3), 0.5)
+        scenario = qs.ShiftScenario(qs.ShiftKind.INVARIANT_RATIO, train, 0.5, envelope_mean=theta, envelope_sd=0.5)
         with pytest.raises(qs.UnresolvedMeasure, match="test conditionals have masses"):
-            qs.make_test_population(qs.ShiftScenario(kind, train, 0.5))
+            qs.make_test_population(scenario)
 
-    # |mass - 1| stays below 1.7e-10 here
+    # |mass - 1| stays below 5e-16 here
     @pytest.mark.parametrize("kind,sigma", [(qs.ShiftKind.INVARIANT_RATIO, 0.3), (qs.ShiftKind.SQRT_RATIO, 0.2)])
     def test_resolved_measure_builds(self, kind, sigma):
         train = qs.binormal_population(qs.BinormalParams(sigma=sigma), 0.5)
         test = qs.make_test_population(qs.ShiftScenario(kind, train, 0.5))
         for cdf in (test.cdf0, test.cdf1):
             assert abs(cdf.total_mass - 1.0) <= 1e-9
+
+
+def _derived_run(kind: qs.ShiftKind, sigma: float) -> dict:
+    """q*, the CDF masses and the population CDE-Iterate and ACC rows of a
+    derived scenario at the default theta and tau."""
+    train = qs.binormal_population(qs.BinormalParams(sigma=sigma), 0.5)
+    scenario = qs.ShiftScenario(kind, train, 0.5)
+    ratio = train.ratio.sqrt() if kind is qs.ShiftKind.SQRT_RATIO else train.ratio
+    test = qs.make_test_population(scenario)
+    q_star, _, _ = qs.decompose_mixture(default_envelope, ratio, test.support)
+    config = qs.ExperimentConfig(scenario=kind, sigma=sigma, panels=("population",), outputs=("prevalence",))
+    (table,) = qs.run_experiment(config)
+    return {
+        "q_star": q_star,
+        "masses": (test.cdf0.total_mass, test.cdf1.total_mass),
+        "CDEinf": table.row("CDEinf"),
+        "ACC": table.row("ACC"),
+    }
+
+
+class TestPanelResolution:
+    """The panels of ``models.panel_edges`` resolve the derived scenarios at
+    every sigma: a build on 8x the panels moves nothing that matters.
+
+    The EM row cannot serve as this check.  Population EM runs on the same
+    nodes that produced q*, so it recovers every test prevalence to about
+    1e-17 even where q* itself is wrong; only q*, the CDF masses and the
+    rows that read the CDFs (CDE-Iterate, ACC) can show an unresolved
+    measure.
+    """
+
+    @pytest.mark.parametrize("sigma", [0.02, 0.05, 0.1, 0.2, 0.5, 1.0])
+    @pytest.mark.parametrize("kind", [qs.ShiftKind.INVARIANT_RATIO, qs.ShiftKind.SQRT_RATIO])
+    def test_refined_panels_agree(self, kind, sigma, monkeypatch):
+        base = _derived_run(kind, sigma)
+        monkeypatch.setattr(models, "_WINDOW_PANELS", 8 * models._WINDOW_PANELS)
+        monkeypatch.setattr(models, "_BAND_PANELS", 8 * models._BAND_PANELS)
+        refined = _derived_run(kind, sigma)
+        assert abs(base["q_star"] - refined["q_star"]) <= 1e-12
+        for mass in base["masses"] + refined["masses"]:
+            assert abs(mass - 1.0) <= 1e-12
+        for row in ("CDEinf", "ACC"):
+            assert np.max(np.abs(np.subtract(base[row], refined[row]))) <= 1e-9
 
 
 class TestCovariateShiftCheck:
