@@ -146,15 +146,18 @@ def checks_pass(run, names) -> tuple[bool, str]:
 
 @pytest.fixture(scope="module")
 def sample_run(train, populations):
-    """Seed-42 sample panel for all scenarios, plus the generating datasets."""
+    """Seed-42 sample panel for all scenarios, plus the generating datasets.
+
+    Prior shift also gets the accuracy and F-measure tables of the adapted
+    classifiers."""
     start = time.perf_counter()
     data = {}
     clf = qs.bayes_classifier(train)
     for kind in ShiftKind:
-        config = qs.ExperimentConfig(
-            scenario=kind, seed=SEED, sample_size=N, panels=("sample",), outputs=("prevalence",)
-        )
-        table = qs.run_experiment(config)[0]
+        outputs = ("prevalence", "accuracy", "f_measure") if kind is ShiftKind.PRIOR_SHIFT else ("prevalence",)
+        config = qs.ExperimentConfig(scenario=kind, seed=SEED, sample_size=N, panels=("sample",), outputs=outputs)
+        tables = {t.metric: t for t in qs.run_experiment(config)}
+        table = tables["prevalence"]
         base = _scenario_base_stream(config, 0)
         test = populations["models"][kind.value]
         train_sample = qs.stratified_sample(train, N, qs.RngStream(SEED, base))
@@ -168,6 +171,7 @@ def sample_run(train, populations):
             assert cc == table.row("CDE1")[j]
         data[kind.value] = {
             "table": table,
+            "tables": tables,
             "test": test,
             "train_sample": train_sample,
             "datasets": datasets,
@@ -213,11 +217,14 @@ def test_output_bytes_match_golden_digests(population_run, sample_run):
     got = {path.name: _sha256(path.read_bytes()) for path in sorted(outdir.iterdir())}
     want = GOLDEN_OUTPUTS["population_run"]
     differ = sorted(name for name in want.keys() | got.keys() if got.get(name) != want.get(name))
-    for scenario, digest in GOLDEN_OUTPUTS["sample_prevalence_17g"].items():
-        table = sample_run["data"][scenario]["table"]
+    sample_tables = {
+        (scenario, "prevalence", digest) for scenario, digest in GOLDEN_OUTPUTS["sample_prevalence_17g"].items()
+    } | {("prior_shift", metric, digest) for metric, digest in GOLDEN_OUTPUTS["prior_shift_sample_17g"].items()}
+    for scenario, metric, digest in sorted(sample_tables):
+        table = sample_run["data"][scenario]["tables"][metric]
         if _sha256(emit_table(table, "csv", full_precision=True).encode()) != digest:
-            differ.append(f"{scenario} seed-42 sample prevalence (17 digits)")
-    total = len(want) + len(GOLDEN_OUTPUTS["sample_prevalence_17g"])
+            differ.append(f"{scenario} seed-42 sample {metric} (17 digits)")
+    total = len(want) + len(sample_tables)
     detail = f"{total - len(differ)} of {total} match"
     if differ:
         detail += f"; differ: {', '.join(differ)}"

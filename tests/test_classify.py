@@ -90,15 +90,20 @@ class TestAdaptThreshold:
 
     def test_adaptation_with_true_prevalence_is_optimal(self, train):
         # under prior probability shift, adapting to the exact test prevalence
-        # minimizes test error over all cut points
-        costs = qs.CostPair(1.0, 1.0)
-        for q in (0.05, 0.3, 0.7):
-            test = train.with_prevalence(q)
-            adapted = qs.adapt_threshold(train, q, costs)
-            best = qs.cost_weighted_error(test, adapted, costs)
-            for cut in np.linspace(-5.0, 7.0, 200):
-                alternative = qs.ThresholdClassifier(cut=float(cut), posterior_threshold=0.5)
-                assert best <= qs.cost_weighted_error(test, alternative, costs) + 1e-12
+        # minimizes the test cost over all cut points, for equal and unequal
+        # costs; adapting to the training prevalence is the Bayes classifier
+        rng = np.random.default_rng(7)
+        cost_pairs = [qs.CostPair(1.0, 1.0)]
+        cost_pairs += [qs.CostPair(*rng.uniform(0.05, 3.0, size=2)) for _ in range(5)]
+        for costs in cost_pairs:
+            assert qs.adapt_threshold(train, train.prevalence0, costs) == qs.bayes_classifier(train, costs)
+            for q in (0.05, 0.3, 0.7):
+                test = train.with_prevalence(q)
+                adapted = qs.adapt_threshold(train, q, costs)
+                best = qs.cost_weighted_error(test, adapted, costs)
+                for cut in np.linspace(-5.0, 7.0, 200):
+                    alternative = qs.ThresholdClassifier(cut=float(cut), posterior_threshold=0.5)
+                    assert best <= qs.cost_weighted_error(test, alternative, costs) + 1e-12
 
 
 class TestClassify:
