@@ -1,8 +1,9 @@
 """Cost-sensitive Bayes classifiers on one-dimensional features.
 
-The optimal decision set for class-weighted costs (a0, a1) is
-{a1 f1 < a0 f0}; because every density ratio in scope is strictly monotone,
-that set is a half-line and classifiers reduce to a feature-space cut point.
+One rule serves every estimator: decide class 0 on {a1 f1 < a0 f0}, with
+a0 = c0 q, a1 = c1 (1-q) at a class-0 prevalence q (:func:`adapt_threshold`).
+Every density ratio in scope is strictly monotone, so that set is a
+half-line and classifiers reduce to a feature-space cut point.
 The rate of class-0 decisions is then a CDF evaluation at the cut: exact for
 a population model (:meth:`ThresholdClassifier.rate_class0`), and an
 empirical-CDF count in the sorted features for a sample
@@ -103,46 +104,27 @@ def weighted_bayes_classifier(train: PopulationModel, a0: float, a1: float) -> T
 def bayes_classifier(train: PopulationModel, costs: CostPair = CostPair()) -> ThresholdClassifier:
     """Cost-sensitive Bayes classifier for the training distribution.
 
-    Uses the prevalence-weighted form a0 = c0 * P[Y=0], a1 = c1 * P[Y=1]; with
-    c0 = c1 this is the minimum-error rule (posterior threshold 1/2).
+    The rule adapted to the training prevalence; with c0 = c1 it is the
+    minimum-error rule (posterior threshold 1/2).
     """
-    p = train.prevalence0
-    return weighted_bayes_classifier(train, costs.c0 * p, costs.c1 * (1.0 - p))
+    return adapt_threshold(train, train.prevalence0, costs)
 
 
 def adapt_threshold(
     train: PopulationModel, estimated_test_prevalence0: float, costs: CostPair = CostPair()
 ) -> ThresholdClassifier:
-    """Re-threshold the training posterior for an estimated test prevalence.
+    """Cost-sensitive Bayes classifier for a test prevalence q under prior shift.
 
-    Under prior probability shift the test-optimal rule compares the training
-    posterior against
-
-        w0 / (w0 + w1),  w0 = c0 (1-q)/(1-p),  w1 = c1 q/p,
-
-    where q is the estimated test prevalence and p the training prevalence.
-    Estimates at or beyond the boundaries give the constant classifiers, so
-    out-of-range inputs are legal.
+    The test cost c0 q P0[g=1] + c1 (1-q) P1[g=0] is minimized by the
+    weighted rule with a0 = c0 q, a1 = c1 (1-q).  Estimates at or beyond the
+    boundaries give the constant classifiers, so out-of-range inputs are legal.
     """
     q = estimated_test_prevalence0
     if q <= 0.0:
         return ALWAYS_CLASS_1
     if q >= 1.0:
         return ALWAYS_CLASS_0
-    p = train.prevalence0
-    w0 = costs.c0 * (1.0 - q) / (1.0 - p)
-    w1 = costs.c1 * q / p
-    u = w0 / (w0 + w1)
-    if u >= 1.0:  # c1 = 0: nothing penalizes predicting class 0
-        return ALWAYS_CLASS_0
-    if u <= 0.0:  # c0 = 0
-        return ALWAYS_CLASS_1
-    if train.ratio is None:
-        raise ValueError("training model carries no invertible density ratio")
-    # posterior > u  <=>  R > u (1-p) / ((1-u) p)
-    c = u * (1.0 - p) / ((1.0 - u) * p)
-    cut = train.ratio.invert_threshold(c)
-    return ThresholdClassifier(cut=cut, posterior_threshold=u, class0_below=train.ratio.decreasing)
+    return weighted_bayes_classifier(train, costs.c0 * q, costs.c1 * (1.0 - q))
 
 
 def cost_weighted_error(train: PopulationModel, clf: ThresholdClassifier, costs: CostPair) -> float:

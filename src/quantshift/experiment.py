@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .classify import CostPair, ThresholdClassifier, adapt_threshold, bayes_classifier
+from .classify import ThresholdClassifier, adapt_threshold, bayes_classifier
 from .metrics import accuracy, f_measure, relative_error
 from .models import BinormalParams, PopulationModel, binormal_population
 from .numerics import RngStream
@@ -128,11 +128,17 @@ class ExperimentConfig:
 
 
 _KEY_ALIASES = {"theta": "envelope_mean", "tau": "envelope_sd"}
-_TUPLE_KEYS = {"test_prevalence_grid", "panels", "outputs"}
-_INT_KEYS = {"sample_size", "seed", "repetitions", "cde_max_iter"}
-_FLOAT_KEYS = {
-    "mu", "nu", "sigma", "envelope_mean", "envelope_sd", "train_prevalence0", "cde_tol",
-}
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+
+
+def _parse_value(default, text: str):
+    """``text`` read as the kind of ``default``: a comma- or space-separated
+    tuple of its items' kind, a case-blind :class:`ShiftKind`, an int or a float."""
+    if isinstance(default, tuple):
+        return tuple(type(default[0])(part) for part in text.replace(",", " ").split())
+    if isinstance(default, ShiftKind):
+        return ShiftKind(text.lower())
+    return type(default)(text)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -142,7 +148,6 @@ def parse_config(text: str) -> ExperimentConfig:
     the offending line for unknown keys, bad values, or invariant violations.
     """
     values: dict = {}
-    known = {f.name for f in fields(ExperimentConfig)}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -153,26 +158,11 @@ def parse_config(text: str) -> ExperimentConfig:
         key = key.strip().lower()
         key = _KEY_ALIASES.get(key, key)
         value = value.strip()
-        if key not in known:
+        if key not in _DEFAULTS:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
         try:
-            if key == "scenario":
-                values[key] = ShiftKind(value.lower())
-            elif key in _TUPLE_KEYS:
-                parts = [p for chunk in value.split(",") for p in chunk.split()] or []
-                if key == "test_prevalence_grid":
-                    values[key] = tuple(float(p) for p in parts)
-                else:
-                    values[key] = tuple(parts)
-            elif key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            else:
-                raise ConfigError(f"line {line_no}: key {key!r} cannot be set from a config file")
-        except (ValueError, KeyError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
+            values[key] = _parse_value(_DEFAULTS[key], value)
+        except ValueError as exc:
             raise ConfigError(f"line {line_no}: bad value for {key!r}: {value!r}") from exc
     config = ExperimentConfig(**values)
     try:
@@ -253,7 +243,7 @@ def build_setup(config: ExperimentConfig) -> ScenarioSetup:
         envelope_sd=config.envelope_sd,
     )
     test_conditionals = make_test_population(scenario)
-    clf = bayes_classifier(train, CostPair(1.0, 1.0))
+    clf = bayes_classifier(train)
     tpr, fpr = training_rates(train, clf)
     return ScenarioSetup(config, train, test_conditionals, clf, tpr, fpr)
 
@@ -282,7 +272,7 @@ def _metric_value(metric: str, true_q: float, estimate: float, evaluator, setup:
         return estimate
     if metric == "relative_error":
         return relative_error(true_q, estimate)
-    adapted = adapt_threshold(setup.train, estimate, CostPair(1.0, 1.0))
+    adapted = adapt_threshold(setup.train, estimate)
     if metric == "accuracy":
         return accuracy(evaluator, adapted)
     if metric == "f_measure":

@@ -238,9 +238,10 @@ def cde_iterate(
 ) -> PrevalenceEstimate:
     """Iterated cost-sensitive reclassification (CDE-Iterate).
 
-    Starting from equal weights, each step takes the class-0 rate of the
-    current weighted Bayes classifier as the next prevalence iterate and
-    feeds it back as the weights (q_k, 1 - q_k).  The iterate sequence is
+    Starting from equal weights, each step adapts the Bayes classifier to
+    its own iterate q_k (weights (q_k, 1 - q_k), the equal-cost
+    :func:`~quantshift.classify.adapt_threshold`) and takes that
+    classifier's class-0 rate as q_{k+1}.  The iterate sequence is
     monotone and converges; iteration stops once successive iterates differ
     by at most ``tol`` or ``max_iter`` iterates have been computed.  The full
     trace is returned: trace[0] is plain Classify & Count.

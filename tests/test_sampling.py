@@ -94,17 +94,11 @@ class TestAcceptReject:
         # envelope: acceptance rate must be ~ 1/M = 0.7239
         h_star = lambda x: normal_pdf(x, 0.5, 1.4)
         weight = 0.7239184
-        proposals = 0
-
-        def candidate_sampler(stream):
-            nonlocal proposals
-            proposals += 1
-            return 0.5 + 1.4 * stream.next_gaussian()
-
         count = int(100_000 * weight)
-        qs.accept_reject_sample(
-            invariant_test.f0, candidate_sampler, h_star, 1.0 / weight, count, qs.RngStream(11, 0)
-        )
+        stream = qs.RngStream(11, 0)
+        qs.accept_reject_sample(invariant_test.f0, NormalSampler(0.5, 1.4), h_star, 1.0 / weight, count, stream)
+        # a Box-Muller pair serves two proposals, each with its accept word
+        proposals = stream.words_drawn // 2
         assert count / proposals == pytest.approx(weight, abs=0.02)
 
     def test_envelope_violation_detected(self):
@@ -130,7 +124,7 @@ class TestAcceptReject:
     def test_derived_draws_match_quadrature_cdf(self, invariant_test):
         draws = qs.accept_reject_sample(
             invariant_test.f1,
-            lambda s: 0.5 + 1.4 * s.next_gaussian(),
+            NormalSampler(0.5, 1.4),
             lambda x: normal_pdf(x, 0.5, 1.4),
             1.0 / (1.0 - 0.7239184),
             100_000,
