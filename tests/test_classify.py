@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -129,8 +130,18 @@ class TestClassify:
     def test_rate_class0_orientation(self, train):
         clf = qs.ThresholdClassifier(cut=1.0, posterior_threshold=0.5)
         assert clf.rate_class0(train.cdf0) == pytest.approx(train.cdf0(1.0), abs=0.0)
-        assert ALWAYS_CLASS_0.rate_class0(train.cdf0) == 1.0
-        assert ALWAYS_CLASS_1.rate_class0(train.cdf0) == 0.0
+
+    @pytest.mark.parametrize("population", ["train", "invariant_test"])
+    @pytest.mark.parametrize(
+        "cut,class0_below,expected",
+        [(math.inf, True, 1.0), (-math.inf, True, 0.0), (math.inf, False, 0.0), (-math.inf, False, 1.0)],
+    )
+    def test_infinite_cut_rates(self, request, population, cut, class0_below, expected):
+        # every CDF, erf-based (train) or GridCdf (invariant_test), is exactly
+        # 0 at -inf and 1 at +inf; ALWAYS_CLASS_0/1 are the class0_below cases
+        cdf = request.getfixturevalue(population).cdf0
+        clf = replace(ALWAYS_CLASS_0, cut=cut, class0_below=class0_below)
+        assert clf.rate_class0(cdf) == expected
 
 
 @st.composite

@@ -238,6 +238,29 @@ class TestCli:
         config_path.write_text("sigma = -1\n")
         assert main(["run", str(config_path), "--outdir", str(tmp_path / "out")]) == 1
 
+    def test_missing_config_exit_code(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path / "missing.cfg"), "--outdir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            None,
+            "scenario = prior_shift\n",
+            json.dumps({"tables": [{"caption": "c", "metric": "prevalence", "panel": "population",
+                                    "col_labels": ["0.5"], "row_labels": ["EM"], "cells": [[0.5]]}]}),
+        ],
+        ids=["missing", "not_json", "no_scenario_key"],
+    )
+    def test_bad_results_file_exit_code(self, tmp_path, capsys, content):
+        results = tmp_path / "prior_shift_results.json"
+        if content is not None:
+            results.write_text(content)
+        assert main(["tables", str(results), "--outdir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert not (tmp_path / "out").exists()
+
     def test_numerical_failure_exit_code(self, tmp_path):
         # an envelope far on the class-1 side admits no interior mixture weight
         config_path = tmp_path / "exp.cfg"
