@@ -45,7 +45,6 @@ from .numerics import (
 from .quantify import (
     DegenerateClassifier,
     EstimateStatus,
-    Method,
     PopulationEvaluator,
     PrevalenceEstimate,
     SampleEvaluator,
@@ -58,7 +57,6 @@ from .quantify import (
 from .sampling import (
     EnvelopeViolation,
     LabeledDataset,
-    accept_reject_sample,
     stratified_sample,
 )
 from .shift import (
@@ -88,7 +86,6 @@ __all__ = [
     "GridCdf",
     "InvalidThreshold",
     "LabeledDataset",
-    "Method",
     "NoInteriorSolution",
     "NoSignChange",
     "NonFinite",
@@ -103,7 +100,6 @@ __all__ = [
     "ThresholdClassifier",
     "UnresolvedMeasure",
     "acc_estimate",
-    "accept_reject_sample",
     "accuracy",
     "adapt_threshold",
     "bayes_classifier",

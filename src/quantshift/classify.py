@@ -38,13 +38,10 @@ class CostPair:
 class ThresholdClassifier:
     """Decision rule 'class 0 iff x on one side of cut'; ties go to class 1.
 
-    ``posterior_threshold`` records the training-posterior level the rule
-    realizes; 0 and 1 give the constant always-0 / always-1 classifiers
-    (cut +inf / -inf with ``class0_below``).
+    Cut +inf / -inf with ``class0_below`` gives the constant always-0 / always-1 rule.
     """
 
     cut: float
-    posterior_threshold: float
     class0_below: bool = True
 
     def predict(self, x):
@@ -55,10 +52,8 @@ class ThresholdClassifier:
         return labels if labels.ndim else int(labels)
 
     def rate_class0(self, cdf) -> float:
-        """Probability of deciding class 0 under the distribution with CDF ``cdf``."""
-        if math.isinf(self.cut):
-            decided0 = (self.cut > 0) == self.class0_below
-            return 1.0 if decided0 else 0.0
+        """Probability of deciding class 0 under the distribution with CDF ``cdf``,
+        which must be exactly 0 at -inf and 1 at +inf, as every CDF here is."""
         mass_below = cdf(self.cut)
         return mass_below if self.class0_below else 1.0 - mass_below
 
@@ -77,8 +72,8 @@ class ThresholdClassifier:
         return len(sorted_x) - int(np.searchsorted(sorted_x, self.cut, side="right"))
 
 
-ALWAYS_CLASS_0 = ThresholdClassifier(cut=math.inf, posterior_threshold=0.0)
-ALWAYS_CLASS_1 = ThresholdClassifier(cut=-math.inf, posterior_threshold=1.0)
+ALWAYS_CLASS_0 = ThresholdClassifier(cut=math.inf)
+ALWAYS_CLASS_1 = ThresholdClassifier(cut=-math.inf)
 
 
 def weighted_bayes_classifier(train: PopulationModel, a0: float, a1: float) -> ThresholdClassifier:
@@ -93,19 +88,14 @@ def weighted_bayes_classifier(train: PopulationModel, a0: float, a1: float) -> T
         return ALWAYS_CLASS_1
     if a1 == 0:
         return ALWAYS_CLASS_0
-    if train.ratio is None:
-        raise ValueError("training model carries no invertible density ratio")
-    cut = train.ratio.invert_threshold(a1 / a0)
-    p = train.prevalence0
-    u = a1 * p / (a1 * p + a0 * (1.0 - p))
-    return ThresholdClassifier(cut=cut, posterior_threshold=u, class0_below=train.ratio.decreasing)
+    return ThresholdClassifier(train.ratio.invert_threshold(a1 / a0), train.ratio.decreasing)
 
 
 def bayes_classifier(train: PopulationModel, costs: CostPair = CostPair()) -> ThresholdClassifier:
     """Cost-sensitive Bayes classifier for the training distribution.
 
     The rule adapted to the training prevalence; with c0 = c1 it is the
-    minimum-error rule (posterior threshold 1/2).
+    minimum-error rule, whose cut is where the training posterior is 1/2.
     """
     return adapt_threshold(train, train.prevalence0, costs)
 

@@ -88,12 +88,21 @@ def _write_tables(tables: list[ResultTable], outdir: Path, formats: tuple[str, .
             (outdir / f"{stem}.md").write_text(emit_table(table, "markdown"))
 
 
+def _load(path: str, parse):
+    try:
+        return parse(Path(path).read_text())
+    except ConfigError:
+        raise
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"cannot load {path} ({type(exc).__name__}: {exc})") from None
+
+
 def _cmd_run(args) -> int:
     formats = ("csv", "markdown") if args.format == "both" else (args.format,)
     panels = _panel_choice(args.panel) if args.panel else None
 
     if args.config is not None:
-        config = parse_config(Path(args.config).read_text())
+        config = _load(args.config, parse_config)
         configs = [_apply_overrides(config, args.seed, panels)]
     else:
         configs = _benchmark_configs(args.seed, panels)
@@ -115,7 +124,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_tables(args) -> int:
     formats = ("csv", "markdown") if args.format == "both" else (args.format,)
-    tables = tables_from_json(Path(args.results).read_text())
+    tables = _load(args.results, tables_from_json)
     _write_tables(tables, Path(args.outdir), formats)
     print(f"re-rendered {len(tables)} tables to {args.outdir}")
     return 0

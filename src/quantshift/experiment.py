@@ -365,8 +365,8 @@ def density_grid_csv(setup: ScenarioSetup) -> str:
     return "\n".join(lines) + "\n"
 
 
-def tables_to_json(tables: Iterable[ResultTable], config: ExperimentConfig | None = None) -> str:
-    """Serialize tables (full precision) for later re-rendering."""
+def tables_to_json(tables: Iterable[ResultTable], config: ExperimentConfig) -> str:
+    """Serialize tables (full precision) and the configuration that made them."""
     payload = {
         "tables": [
             {
@@ -379,13 +379,12 @@ def tables_to_json(tables: Iterable[ResultTable], config: ExperimentConfig | Non
                 "cells": [[None if math.isnan(v) else v for v in row] for row in t.cells],
             }
             for t in tables
-        ]
-    }
-    if config is not None:
-        payload["config"] = {
+        ],
+        "config": {
             f.name: (getattr(config, f.name).value if f.name == "scenario" else getattr(config, f.name))
             for f in fields(config)
-        }
+        },
+    }
     return json.dumps(payload, indent=2)
 
 

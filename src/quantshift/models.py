@@ -1,5 +1,6 @@
 """Distribution models on the real line: the equal-variance binormal family,
-generic density-pair populations, posteriors, and density ratios.
+log-linear density ratios, posteriors, and populations that carry their
+ratio and exact samplers.
 
 All densities and ratios are plain callables that accept either a float or a
 numpy array.  Populations are immutable after construction.
@@ -38,8 +39,6 @@ def normal_pdf(x, mean: float, sd: float):
 
 
 def normal_cdf(x: float, mean: float, sd: float) -> float:
-    if math.isinf(x):
-        return 0.0 if x < 0 else 1.0
     return 0.5 * (1.0 + math.erf((x - mean) / (sd * _SQRT2)))
 
 
@@ -138,7 +137,7 @@ class PopulationModel:
     (analytic for normal conditionals, quadrature-backed otherwise).
     ``support`` is the window outside which both densities are numerically
     negligible; population integrals run over it.  ``ratio`` is the analytic
-    f0/f1 when known, and ``sampler0``/``sampler1`` draw values from the class
+    f0/f1, and ``sampler0``/``sampler1`` draw values from the class
     conditionals.
     """
 
@@ -148,9 +147,9 @@ class PopulationModel:
     cdf1: Callable[[float], float]
     prevalence0: float
     support: tuple[float, float]
-    ratio: DensityRatio | None = None
-    sampler0: Sampler | None = field(default=None, repr=False)
-    sampler1: Sampler | None = field(default=None, repr=False)
+    ratio: DensityRatio
+    sampler0: Sampler = field(repr=False)
+    sampler1: Sampler = field(repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.prevalence0 < 1.0:
@@ -194,18 +193,16 @@ def binormal_population(params: BinormalParams, prevalence0: float) -> Populatio
     )
 
 
-def panel_edges(support: tuple[float, float], ratio: DensityRatio | None) -> np.ndarray:
+def panel_edges(support: tuple[float, float], ratio: DensityRatio) -> np.ndarray:
     """Strictly increasing edges of at most 257 panels for a population's nodes.
 
-    Equal panels span the ``support`` window; with a ``ratio``, equal panels
-    on the part of it where |log R| <= 40 join them.  The likelihood terms
-    and the derived densities turn on that band, on the scale 1/|log_slope|;
-    outside it each term is 1/q or -1/(1 - q) to double precision.
+    128 equal panels span the ``support`` window, and 128 equal panels on the
+    part of it where |log R| <= 40 join them.  The likelihood terms and the
+    derived densities turn on that band, on the scale 1/|log_slope|; outside
+    it each term is 1/q or -1/(1 - q) to double precision.
     """
     lo, hi = support
     edges = np.linspace(lo, hi, _WINDOW_PANELS + 1)
-    if ratio is None:
-        return edges
     a, b = sorted((log_r - ratio.log_offset) / ratio.log_slope for log_r in (-40.0, 40.0))
     a, b = max(a, lo), min(b, hi)
     if a < b:

@@ -37,12 +37,6 @@ class LabelsHidden(RuntimeError):
     """A label-dependent query was made on a label-blind evaluator."""
 
 
-class Method(str, Enum):
-    CDE_INF = "CDEinf"
-    ACC = "ACC"
-    EM = "EM"
-
-
 class EstimateStatus(str, Enum):
     CONVERGED = "converged"
     MAX_ITERATIONS = "max_iterations"
@@ -57,7 +51,6 @@ class PrevalenceEstimate:
     holds the CDE iterate sequence when applicable."""
 
     value: float
-    method: Method
     status: EstimateStatus
     trace: tuple[float, ...] | None = None
 
@@ -202,12 +195,10 @@ def acc_estimate(
         )
     value = (evaluator.predict_positive_rate(clf) - fpr) / (tpr - fpr)
     status = EstimateStatus.CONVERGED if 0.0 <= value <= 1.0 else EstimateStatus.RAW_OUT_OF_RANGE
-    return PrevalenceEstimate(value, Method.ACC, status)
+    return PrevalenceEstimate(value, status)
 
 
-def em_estimate(
-    evaluator: TestEvaluator, ratio: DensityRatio, tol: float = 1e-10
-) -> PrevalenceEstimate:
+def em_estimate(evaluator: TestEvaluator, ratio: DensityRatio) -> PrevalenceEstimate:
     """Maximum-likelihood prevalence under prior probability shift.
 
     The estimate is the unique root q in (0, 1) of
@@ -217,17 +208,17 @@ def em_estimate(
     which exists iff E_Q[R] > 1 and E_Q[1/R] > 1.  When a moment condition
     fails the estimate sits at the corresponding boundary (0 or 1) and the
     status says which.  The expectation is over the evaluator's measure, and
-    :func:`~quantshift.numerics.solve_prior_equation` finds the root.
+    :func:`~quantshift.numerics.solve_prior_equation` finds the root to 1e-10.
     """
     points, weights = evaluator.measure()
-    root = solve_prior_equation(ratio.log(points), weights, tol)
+    root = solve_prior_equation(ratio.log(points), weights, 1e-10)
     if root.value == 0.0:
         status = EstimateStatus.BOUNDARY_LOW
     elif root.value == 1.0:
         status = EstimateStatus.BOUNDARY_HIGH
     else:
         status = EstimateStatus.CONVERGED
-    return PrevalenceEstimate(root.value, Method.EM, status)
+    return PrevalenceEstimate(root.value, status)
 
 
 def cde_iterate(
@@ -261,7 +252,7 @@ def cde_iterate(
             status = EstimateStatus.CONVERGED
             break
         a0, a1 = q_k, 1.0 - q_k
-    return PrevalenceEstimate(trace[-1], Method.CDE_INF, status, tuple(trace))
+    return PrevalenceEstimate(trace[-1], status, tuple(trace))
 
 
 def fixed_point_residual(train: PopulationModel, evaluator: TestEvaluator, q: float) -> float:

@@ -39,10 +39,6 @@ class LabeledDataset:
     def __len__(self) -> int:
         return len(self.features)
 
-    @property
-    def prevalence0(self) -> float:
-        return float(np.mean(self.labels == 0))
-
 
 def _round_half_up(value: float) -> int:
     return int(math.floor(value + 0.5))
@@ -56,8 +52,6 @@ def stratified_sample(pop: PopulationModel, n: int, stream: RngStream) -> Labele
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if pop.sampler0 is None or pop.sampler1 is None:
-        raise ValueError("population model carries no class-conditional samplers")
     n0 = _round_half_up(n * pop.prevalence0)
     features = np.empty(n)
     pop.sampler0.draw(stream, n0, features[:n0])
@@ -169,21 +163,3 @@ class RejectionSampler:
             raise _violation(float(x[stop]), float(t[stop]), float(bound[stop]), self.envelope_constant)
         out[: len(accepted)] = x[accepted]
         return len(accepted)
-
-
-def accept_reject_sample(
-    target: Density,
-    candidate_sampler: Callable[[RngStream], float],
-    candidate_density: Density,
-    M: float,
-    count: int,
-    stream: RngStream,
-) -> np.ndarray:
-    """Draw ``count`` values from ``target`` by accept-reject.
-
-    The expected acceptance rate is 1/M when M is the tight envelope constant.
-    """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    return RejectionSampler(target, candidate_sampler, candidate_density, M).draw(stream, count)
-

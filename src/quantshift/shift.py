@@ -150,8 +150,6 @@ def make_test_population(scenario: ShiftScenario) -> PopulationModel:
         return scenario.train.with_prevalence(scenario.test_prevalence0)
 
     ratio = scenario.train.ratio
-    if ratio is None:
-        raise ValueError("training model carries no analytic density ratio")
     if scenario.kind is ShiftKind.SQRT_RATIO:
         ratio = ratio.sqrt()
     mean, sd = scenario.envelope_mean, scenario.envelope_sd
@@ -185,19 +183,17 @@ def make_test_population(scenario: ShiftScenario) -> PopulationModel:
     )
 
 
-def covariate_shift_identity_check(
-    train: PopulationModel, test: PopulationModel, grid_points: int = 1000
-) -> float:
-    """Largest grid discrepancy between training and test posteriors.
+def covariate_shift_identity_check(train: PopulationModel, test: PopulationModel) -> float:
+    """Largest discrepancy between training and test posteriors on a grid.
 
     Covariate shift means the two feature-conditional class probabilities
     coincide; the returned supremum is ~0 exactly in that case.  The grid
-    spans the overlap of the two support windows.
+    has 1000 points spanning the overlap of the two support windows.
     """
     lo = max(train.support[0], test.support[0])
     hi = min(train.support[1], test.support[1])
     if not lo < hi:
         raise ValueError("support windows do not overlap")
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, 1000)
     gap = np.abs(posterior(train, grid) - posterior(test, grid))
     return float(np.max(gap[np.isfinite(gap)]))

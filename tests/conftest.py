@@ -35,7 +35,7 @@ def threshold_classifiers(features):
     infinite = st.sampled_from([-math.inf, math.inf])
     cuts = st.sampled_from(features) | infinite | st.floats(allow_nan=False)
     return st.builds(
-        qs.ThresholdClassifier, cut=cuts, posterior_threshold=st.just(0.5), class0_below=st.booleans()
+        qs.ThresholdClassifier, cut=cuts, class0_below=st.booleans()
     )
 
 

@@ -26,6 +26,7 @@ from quantshift import cli, reference
 from quantshift.experiment import _scenario_base_stream, emit_table, tables_from_json
 from quantshift.models import NormalSampler, normal_pdf
 from quantshift.quantify import PopulationEvaluator, SampleEvaluator
+from quantshift.sampling import RejectionSampler
 from quantshift.shift import ShiftKind
 
 GRID = reference.PREVALENCE_GRID
@@ -412,7 +413,7 @@ def test_criterion_8_sample_panels(train, population_run, sample_run):
         for target, rate in ((test.f0, weight), (test.f1, 1.0 - weight)):
             accepted = 25_000
             stream = qs.RngStream(SEED, 999)
-            qs.accept_reject_sample(target, NormalSampler(0.5, 1.4), h_star, 1.0 / rate, accepted, stream)
+            RejectionSampler(target, NormalSampler(0.5, 1.4), h_star, 1.0 / rate).draw(stream, accepted)
             rates_ok &= abs(accepted / (stream.words_drawn // 2) - rate) <= 0.02
 
     # (d) per-class KS statistics beat the 1% critical value.  54 cells are
@@ -462,7 +463,7 @@ def test_criterion_9_bayes_optimality_oracle(train):
         clf = qs.bayes_classifier(model, costs)
         best = qs.cost_weighted_error(model, clf, costs)
         for cut in np.linspace(-6.0, 8.0, 200):
-            alternative = qs.ThresholdClassifier(cut=float(cut), posterior_threshold=0.5)
+            alternative = qs.ThresholdClassifier(cut=float(cut))
             worst_margin = min(
                 worst_margin, qs.cost_weighted_error(model, alternative, costs) - best
             )

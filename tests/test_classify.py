@@ -17,13 +17,13 @@ class TestBayesClassifier:
         clf = qs.bayes_classifier(train, qs.CostPair(1.0, 1.0))
         assert clf.cut == pytest.approx(1.0, abs=1e-15)
         assert clf.class0_below
-        assert clf.posterior_threshold == pytest.approx(0.5, abs=1e-15)
+        assert qs.posterior(train, clf.cut) == pytest.approx(0.5, abs=1e-15)
 
     def test_weighted_step_matches_posterior_inversion(self, train):
         # weights (0.1655, 0.8345) realize posterior threshold 0.8345; the cut
         # solves 1/(1 + exp(2x - 2)) = 0.8345
         clf = qs.weighted_bayes_classifier(train, 0.1655, 0.8345)
-        assert clf.posterior_threshold == pytest.approx(0.8345, abs=1e-12)
+        assert qs.posterior(train, clf.cut) == pytest.approx(0.8345, abs=1e-12)
         expected_cut = (math.log((1 - 0.8345) / 0.8345) + 2.0) / 2.0
         assert clf.cut == pytest.approx(expected_cut, abs=1e-12)
         assert clf.cut == pytest.approx(0.191, abs=5e-4)
@@ -33,7 +33,7 @@ class TestBayesClassifier:
         clf = qs.bayes_classifier(train, costs)
         best = qs.cost_weighted_error(train, clf, costs)
         for cut in np.linspace(-4.0, 6.0, 50):
-            alternative = qs.ThresholdClassifier(cut=float(cut), posterior_threshold=0.5)
+            alternative = qs.ThresholdClassifier(cut=float(cut))
             assert best <= qs.cost_weighted_error(train, alternative, costs) + 1e-12
 
     def test_random_costs_optimality(self, train):
@@ -45,7 +45,7 @@ class TestBayesClassifier:
             clf = qs.bayes_classifier(model, costs)
             best = qs.cost_weighted_error(model, clf, costs)
             for cut in np.linspace(-5.0, 7.0, 80):
-                alternative = qs.ThresholdClassifier(cut=float(cut), posterior_threshold=0.5)
+                alternative = qs.ThresholdClassifier(cut=float(cut))
                 assert best <= qs.cost_weighted_error(model, alternative, costs) + 1e-12
 
     def test_degenerate_weights(self, train):
@@ -64,12 +64,12 @@ class TestBayesClassifier:
 class TestAdaptThreshold:
     def test_example_threshold(self, train):
         clf = qs.adapt_threshold(train, 0.1655)
-        assert clf.posterior_threshold == pytest.approx(0.8345, abs=1e-12)
+        assert qs.posterior(train, clf.cut) == pytest.approx(0.8345, abs=1e-12)
 
     def test_no_shift_no_adaptation(self, train):
         adapted = qs.adapt_threshold(train, 0.5)
         baseline = qs.bayes_classifier(train)
-        assert adapted.posterior_threshold == pytest.approx(0.5, abs=1e-15)
+        assert qs.posterior(train, adapted.cut) == pytest.approx(0.5, abs=1e-15)
         assert adapted.cut == pytest.approx(baseline.cut, abs=1e-12)
 
     def test_boundary_estimates_give_constant_classifiers(self, train):
@@ -86,7 +86,7 @@ class TestAdaptThreshold:
 
     def test_threshold_strictly_decreasing_in_estimate(self, train):
         estimates = np.linspace(0.01, 0.99, 40)
-        thresholds = [qs.adapt_threshold(train, float(q)).posterior_threshold for q in estimates]
+        thresholds = [qs.posterior(train, qs.adapt_threshold(train, float(q)).cut) for q in estimates]
         assert all(b < a for a, b in zip(thresholds, thresholds[1:]))
 
     def test_adaptation_with_true_prevalence_is_optimal(self, train):
@@ -103,18 +103,18 @@ class TestAdaptThreshold:
                 adapted = qs.adapt_threshold(train, q, costs)
                 best = qs.cost_weighted_error(test, adapted, costs)
                 for cut in np.linspace(-5.0, 7.0, 200):
-                    alternative = qs.ThresholdClassifier(cut=float(cut), posterior_threshold=0.5)
+                    alternative = qs.ThresholdClassifier(cut=float(cut))
                     assert best <= qs.cost_weighted_error(test, alternative, costs) + 1e-12
 
 
 class TestClassify:
     def test_plain_decision(self):
-        clf = qs.ThresholdClassifier(cut=1.0, posterior_threshold=0.5)
+        clf = qs.ThresholdClassifier(cut=1.0)
         assert clf.predict(0.0) == 0
         assert clf.predict(2.0) == 1
 
     def test_tie_goes_to_class_1(self):
-        clf = qs.ThresholdClassifier(cut=1.0, posterior_threshold=0.5)
+        clf = qs.ThresholdClassifier(cut=1.0)
         assert clf.predict(1.0) == 1
 
     def test_constant_classifiers(self):
@@ -123,12 +123,12 @@ class TestClassify:
             assert ALWAYS_CLASS_0.predict(x) == 0
 
     def test_vectorized_decisions(self):
-        clf = qs.ThresholdClassifier(cut=1.0, posterior_threshold=0.5)
+        clf = qs.ThresholdClassifier(cut=1.0)
         out = clf.predict(np.array([0.0, 1.0, 2.0]))
         assert out.tolist() == [0, 1, 1]
 
     def test_rate_class0_orientation(self, train):
-        clf = qs.ThresholdClassifier(cut=1.0, posterior_threshold=0.5)
+        clf = qs.ThresholdClassifier(cut=1.0)
         assert clf.rate_class0(train.cdf0) == pytest.approx(train.cdf0(1.0), abs=0.0)
 
     @pytest.mark.parametrize("population", ["train", "invariant_test"])
@@ -155,8 +155,8 @@ _EDGES = np.array([-math.inf, 0.0, 1.0, 1.0, 2.0, math.inf])
 
 class TestCountClass0:
     @given(features_and_classifier())
-    @example((_EDGES, qs.ThresholdClassifier(cut=1.0, posterior_threshold=0.5)))
-    @example((_EDGES, qs.ThresholdClassifier(cut=1.0, posterior_threshold=0.5, class0_below=False)))
+    @example((_EDGES, qs.ThresholdClassifier(cut=1.0)))
+    @example((_EDGES, qs.ThresholdClassifier(cut=1.0, class0_below=False)))
     @example((_EDGES, ALWAYS_CLASS_0))
     @example((_EDGES, ALWAYS_CLASS_1))
     def test_count_is_the_mean_of_predictions(self, case):

@@ -95,7 +95,7 @@ class TestFMeasure:
         features = np.concatenate([np.full(30, -50.0), np.full(70, 50.0)])
         labels = np.concatenate([np.zeros(30, dtype=int), np.ones(70, dtype=int)])
         evaluator = qs.SampleEvaluator(qs.LabeledDataset(features, labels, (0, 0)))
-        clf = qs.ThresholdClassifier(cut=0.0, posterior_threshold=0.5)
+        clf = qs.ThresholdClassifier(cut=0.0)
         assert qs.f_measure(evaluator, clf) == pytest.approx(1.0, abs=0.0)
 
     def test_adapted_exact_estimate_at_small_prevalence(self, train):
@@ -117,5 +117,5 @@ class TestFMeasure:
         features = np.array([-1.0, 1.0])
         labels = np.array([1, 0])  # the classifier puts the only true 0 on the wrong side
         evaluator = qs.SampleEvaluator(qs.LabeledDataset(features, labels, (0, 0)))
-        clf = qs.ThresholdClassifier(cut=0.0, posterior_threshold=0.5)
+        clf = qs.ThresholdClassifier(cut=0.0)
         assert qs.f_measure(evaluator, clf) == 0.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import quantshift as qs
-from quantshift.models import GridCdf, normal_cdf, normal_pdf, panel_edges
+from quantshift.models import GridCdf, normal_cdf, normal_pdf
 
 
 @pytest.fixture(scope="module")
@@ -110,12 +110,12 @@ class TestMarginalDensity:
 
 class TestGridCdf:
     def test_matches_analytic_normal_cdf(self):
-        cdf = GridCdf(lambda x: normal_pdf(x, 1.0, 2.0), panel_edges((-23.0, 25.0), None))
+        cdf = GridCdf(lambda x: normal_pdf(x, 1.0, 2.0), np.linspace(-23.0, 25.0, 129))
         for x in np.linspace(-6.0, 8.0, 37):
             assert cdf(float(x)) == pytest.approx(normal_cdf(float(x), 1.0, 2.0), abs=1e-12)
 
     def test_bounds(self):
-        cdf = GridCdf(lambda x: normal_pdf(x, 0.0, 1.0), panel_edges((-14.0, 14.0), None))
+        cdf = GridCdf(lambda x: normal_pdf(x, 0.0, 1.0), np.linspace(-14.0, 14.0, 129))
         assert cdf(-20.0) == 0.0
         assert cdf(20.0) == 1.0
         assert cdf.total_mass == pytest.approx(1.0, abs=1e-12)

@@ -67,7 +67,7 @@ class TestAccEstimate:
     def test_consistency_holds_for_any_threshold(self, train):
         # the adjustment is classifier-independent under prior probability shift
         for cut in (-1.0, 0.2, 1.0, 1.7, 3.0):
-            clf = qs.ThresholdClassifier(cut=cut, posterior_threshold=0.5)
+            clf = qs.ThresholdClassifier(cut=cut)
             tpr, fpr = qs.training_rates(train, clf)
             for q in GRID:
                 est = qs.acc_estimate(pop_eval(train, q), clf, tpr, fpr)

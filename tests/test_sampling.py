@@ -85,7 +85,7 @@ class TestAcceptReject:
             proposals += 1
             return stream.next_gaussian()
 
-        draws = qs.accept_reject_sample(target, candidate_sampler, target, 1.0, 2000, qs.RngStream(3, 0))
+        draws = RejectionSampler(target, candidate_sampler, target, 1.0).draw(qs.RngStream(3, 0), 2000)
         assert len(draws) == 2000
         assert proposals == 2000
 
@@ -96,7 +96,7 @@ class TestAcceptReject:
         weight = 0.7239184
         count = int(100_000 * weight)
         stream = qs.RngStream(11, 0)
-        qs.accept_reject_sample(invariant_test.f0, NormalSampler(0.5, 1.4), h_star, 1.0 / weight, count, stream)
+        RejectionSampler(invariant_test.f0, NormalSampler(0.5, 1.4), h_star, 1.0 / weight).draw(stream, count)
         # a Box-Muller pair serves two proposals, each with its accept word
         proposals = stream.words_drawn // 2
         assert count / proposals == pytest.approx(weight, abs=0.02)
@@ -106,9 +106,7 @@ class TestAcceptReject:
         candidate = lambda x: normal_pdf(x, 0.0, 2.0)
         with pytest.raises(qs.EnvelopeViolation):
             # M = 1 is far too small: target/candidate peaks at 2
-            qs.accept_reject_sample(
-                target, lambda s: 2.0 * s.next_gaussian(), candidate, 1.0, 100, qs.RngStream(5, 0)
-            )
+            RejectionSampler(target, lambda s: 2.0 * s.next_gaussian(), candidate, 1.0).draw(qs.RngStream(5, 0), 100)
 
     def test_envelope_constants_are_tight(self, train, invariant_test):
         # h0 <= h*/q* and h1 <= h*/(1-q*) pointwise, with equality approached
@@ -122,19 +120,17 @@ class TestAcceptReject:
         assert np.max(ratio1) <= 1.0 / (1.0 - weight) + 1e-6
 
     def test_derived_draws_match_quadrature_cdf(self, invariant_test):
-        draws = qs.accept_reject_sample(
+        draws = RejectionSampler(
             invariant_test.f1,
             NormalSampler(0.5, 1.4),
             lambda x: normal_pdf(x, 0.5, 1.4),
             1.0 / (1.0 - 0.7239184),
-            100_000,
-            qs.RngStream(21, 0),
-        )
+        ).draw(qs.RngStream(21, 0), 100_000)
         assert ks_statistic(draws, invariant_test.cdf1) < 0.01
 
     def test_count_validation(self):
         with pytest.raises(ValueError):
-            qs.accept_reject_sample(lambda x: x, lambda s: 0.0, lambda x: x, 1.0, -1, qs.RngStream(1, 0))
+            RejectionSampler(lambda x: x, lambda s: 0.0, lambda x: x, 1.0).draw(qs.RngStream(1, 0), -1)
 
 
 def _scalar_twin(sampler: RejectionSampler) -> RejectionSampler:
