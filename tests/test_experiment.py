@@ -1,10 +1,12 @@
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 import quantshift as qs
-from quantshift import reference
+from quantshift import cli, experiment, reference
 from quantshift.cli import main
 from quantshift.experiment import (
     DEFAULT_GRID,
@@ -81,6 +83,41 @@ class TestParseConfig:
         assert config.outputs == ("prevalence", "accuracy")
         with pytest.raises(qs.ConfigError):
             qs.parse_config("panels = nowhere")
+
+    @pytest.mark.parametrize(
+        "text", ["panels = population, population", "outputs = prevalence prevalence"]
+    )
+    def test_duplicate_entries_rejected(self, text):
+        with pytest.raises(qs.ConfigError, match="subset"):
+            qs.parse_config(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "nu = inf",
+            "mu = -inf",
+            "sigma = inf",
+            "scenario = invariant_ratio\ntau = inf",
+            "theta = nan",
+        ],
+    )
+    def test_non_finite_value_rejected(self, text):
+        key = text.rpartition("\n")[2].partition(" =")[0]
+        with pytest.raises(qs.ConfigError, match=f"invalid configuration: {key} must be finite"):
+            qs.parse_config(text)
+
+    def test_replace_validates(self):
+        with pytest.raises(qs.ConfigError, match="sigma"):
+            dataclasses.replace(qs.ExperimentConfig(), sigma=-1)
+
+    def test_readme_documents_every_key(self):
+        # the README's example config names every field, under its alias if it has one
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = next(b for b in readme.split("```")[1::2] if "\nscenario = " in b)
+        keys = {line.partition("=")[0].strip() for line in block.splitlines() if "=" in line}
+        names = {experiment._KEY_ALIASES.get(key, key) for key in keys}
+        assert names == {f.name for f in dataclasses.fields(qs.ExperimentConfig)}
+        qs.parse_config(block)
 
 
 def population_config(**overrides):
@@ -260,6 +297,32 @@ class TestCli:
         assert main(["tables", str(results), "--outdir", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("configuration error: ")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+    def test_out_of_range_seed_exit_code(self, tmp_path, capsys, seed):
+        assert main(["run", "--seed", seed, "--outdir", str(tmp_path / "out")]) == 1
+        assert "seed must be a 64-bit unsigned integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub", [False, True], ids=["file", "below_file"])
+    def test_unwritable_outdir_exits_before_any_work(self, tmp_path, capsys, monkeypatch, sub):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        outdir = blocker / "out" if sub else blocker
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the grid ran before the output directory was made")
+
+        monkeypatch.setattr(cli, "run_experiment", must_not_run)
+        assert main(["run", "--panel", "population", "--outdir", str(outdir)]) == 1
+        assert capsys.readouterr().err.startswith(f"configuration error: cannot write to {outdir}")
+
+    def test_tables_unwritable_outdir_exit_code(self, tmp_path, capsys):
+        results = tmp_path / "prior_shift_results.json"
+        results.write_text(tables_to_json([], qs.ExperimentConfig()))
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        assert main(["tables", str(results), "--outdir", str(blocker)]) == 1
+        assert capsys.readouterr().err.startswith(f"configuration error: cannot write to {blocker}")
 
     def test_numerical_failure_exit_code(self, tmp_path):
         # an envelope far on the class-1 side admits no interior mixture weight
