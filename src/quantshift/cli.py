@@ -20,6 +20,7 @@ from pathlib import Path
 
 from . import reference
 from .experiment import (
+    PANELS,
     ConfigError,
     ExperimentConfig,
     ResultTable,
@@ -45,46 +46,30 @@ _NUMERICAL_ERRORS = (
     UnresolvedMeasure,
 )
 
-# The built-in benchmark set: the prior-shift scenario reports all four
-# metrics; the two derived scenarios report the estimate tables only.
-_BENCHMARK_OUTPUTS = {
-    ShiftKind.PRIOR_SHIFT: ("prevalence", "relative_error", "accuracy", "f_measure"),
-    ShiftKind.INVARIANT_RATIO: ("prevalence", "relative_error"),
-    ShiftKind.SQRT_RATIO: ("prevalence", "relative_error"),
-}
 
-
-def _apply_overrides(
-    config: ExperimentConfig, seed: int | None, panels: tuple[str, ...] | None
-) -> ExperimentConfig:
-    if seed is not None:
-        config = replace(config, seed=seed)
-    if panels is not None:
-        config = replace(config, panels=panels)
-    return config
-
-
-def _benchmark_configs(seed: int | None, panels: tuple[str, ...] | None) -> list[ExperimentConfig]:
+def _benchmark_configs(**overrides) -> list[ExperimentConfig]:
     return [
-        _apply_overrides(ExperimentConfig(scenario=kind, outputs=outputs), seed, panels)
-        for kind, outputs in _BENCHMARK_OUTPUTS.items()
+        ExperimentConfig(scenario=scenario, outputs=outputs, **overrides)
+        for scenario, outputs in reference.BENCHMARK_OUTPUTS.items()
     ]
 
 
-def _panel_choice(value: str) -> tuple[str, ...]:
-    if value == "both":
-        return ("population", "sample")
-    return (value,)
+def _make_outdir(path: str) -> Path:
+    outdir = Path(path)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write to {path} ({type(exc).__name__}: {exc})") from None
+    return outdir
 
 
-def _write_tables(tables: list[ResultTable], outdir: Path, formats: tuple[str, ...]) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
+def _write_tables(tables: list[ResultTable], outdir: Path, format: str) -> None:
     for table in tables:
         stem = f"{table.scenario}_{table.metric}_{table.panel}"
-        if "csv" in formats:
+        if format in ("csv", "both"):
             (outdir / f"{stem}.csv").write_text(emit_table(table, "csv"))
             (outdir / f"{stem}_full.csv").write_text(emit_table(table, "csv", full_precision=True))
-        if "markdown" in formats:
+        if format in ("markdown", "both"):
             (outdir / f"{stem}.md").write_text(emit_table(table, "markdown"))
 
 
@@ -98,22 +83,23 @@ def _load(path: str, parse):
 
 
 def _cmd_run(args) -> int:
-    formats = ("csv", "markdown") if args.format == "both" else (args.format,)
-    panels = _panel_choice(args.panel) if args.panel else None
-
+    overrides = {} if args.seed is None else {"seed": args.seed}
+    if args.panel is not None:
+        overrides["panels"] = PANELS if args.panel == "both" else (args.panel,)
     if args.config is not None:
-        config = _load(args.config, parse_config)
-        configs = [_apply_overrides(config, args.seed, panels)]
+        configs = [replace(_load(args.config, parse_config), **overrides)]
     else:
-        configs = _benchmark_configs(args.seed, panels)
+        configs = _benchmark_configs(**overrides)
 
-    outdir = Path(args.outdir)
+    # a scenario that cannot be built leaves no output directory behind
+    setups = [build_setup(config) for config in configs]
+    outdir = _make_outdir(args.outdir)
     all_tables: list[ResultTable] = []
-    for config in configs:
-        setup = build_setup(config)
+    for setup in setups:
+        config = setup.config
         tables = run_experiment(config, setup)
         all_tables.extend(tables)
-        _write_tables(tables, outdir, formats)
+        _write_tables(tables, outdir, args.format)
         (outdir / f"{config.scenario.value}_densities.csv").write_text(density_grid_csv(setup))
         (outdir / f"{config.scenario.value}_results.json").write_text(
             tables_to_json(tables, config)
@@ -123,9 +109,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    formats = ("csv", "markdown") if args.format == "both" else (args.format,)
     tables = _load(args.results, tables_from_json)
-    _write_tables(tables, Path(args.outdir), formats)
+    _write_tables(tables, _make_outdir(args.outdir), args.format)
     print(f"re-rendered {len(tables)} tables to {args.outdir}")
     return 0
 
@@ -133,7 +118,7 @@ def _cmd_tables(args) -> int:
 def _cmd_verify(args) -> int:
     del args
     tables, mixture_weights = [], {}
-    for config in _benchmark_configs(None, ("population",)):
+    for config in _benchmark_configs(panels=("population",)):
         setup = build_setup(config)
         if config.scenario is not ShiftKind.PRIOR_SHIFT:
             # class-0 draws accept one proposal in M = 1/q* from the envelope

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable
 
 import numpy as np
@@ -28,7 +28,6 @@ from .quantify import (
     acc_estimate,
     cde_iterate,
     em_estimate,
-    training_rates,
 )
 from .sampling import stratified_sample
 from .shift import ShiftKind, ShiftScenario, make_test_population
@@ -38,18 +37,13 @@ PANELS = ("population", "sample")
 OUTPUTS = ("prevalence", "relative_error", "accuracy", "f_measure")
 ROW_LABELS = ("CDE1", "CDE2", "CDEinf", "ACC", "EM")
 
-# Stream-id layout: one 16-bit block per scenario; within a block, one
-# sub-block per repetition holding the training draw (slot 0) and one slot
-# per grid cell.
+# Stream-id layout: one 16-bit block per scenario, in ShiftKind order; within
+# a block, one sub-block per repetition holding the training draw (slot 0)
+# and one slot per grid cell.
 _SCENARIO_STRIDE = 1 << 16
 _REPETITION_STRIDE = 1 << 10
 _MAX_SAMPLE_CELLS = _REPETITION_STRIDE - 1
 _MAX_REPETITIONS = _SCENARIO_STRIDE // _REPETITION_STRIDE
-_SCENARIO_INDEX = {
-    ShiftKind.PRIOR_SHIFT: 0,
-    ShiftKind.INVARIANT_RATIO: 1,
-    ShiftKind.SQRT_RATIO: 2,
-}
 
 _DENSITY_GRID_RANGE = (-6.0, 8.0)
 _DENSITY_GRID_POINTS = 1001
@@ -61,7 +55,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full description of one scenario run; defaults match the benchmark setup."""
+    """Full description of one scenario run; defaults match the benchmark setup.
+    Construction validates (``dataclasses.replace`` too): a bad field raises :class:`ConfigError`."""
 
     scenario: ShiftKind = ShiftKind.PRIOR_SHIFT
     mu: float = 0.0
@@ -87,8 +82,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}") from None
         for name in ("test_prevalence_grid", "panels", "outputs"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-
-    def validate(self) -> None:
+        for name in ("mu", "nu", "sigma", "theta", "tau"):
+            if not math.isfinite(getattr(self, _KEY_ALIASES.get(name, name))):
+                raise ConfigError(f"{name} must be finite")
         if self.sigma <= 0:
             raise ConfigError("sigma must be positive")
         if not self.mu < self.nu:
@@ -107,12 +103,11 @@ class ExperimentConfig:
             raise ConfigError("sample_size must be at least 1")
         if not 0 <= self.seed < 1 << 64:
             raise ConfigError("seed must be a 64-bit unsigned integer")
-        unknown_panels = set(self.panels) - set(PANELS)
-        if unknown_panels or not self.panels:
-            raise ConfigError(f"panels must be a non-empty subset of {PANELS}")
-        unknown_outputs = set(self.outputs) - set(OUTPUTS)
-        if unknown_outputs or not self.outputs:
-            raise ConfigError(f"outputs must be a non-empty subset of {OUTPUTS}")
+        for name, allowed in (("panels", PANELS), ("outputs", OUTPUTS)):
+            chosen = getattr(self, name)
+            # distinct and allowed entries only
+            if not chosen or len(set(chosen).intersection(allowed)) < len(chosen):
+                raise ConfigError(f"{name} must be a non-empty subset of {allowed}")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be at least 1")
         if "sample" in self.panels:
@@ -164,12 +159,10 @@ def parse_config(text: str) -> ExperimentConfig:
             values[key] = _parse_value(_DEFAULTS[key], value)
         except ValueError as exc:
             raise ConfigError(f"line {line_no}: bad value for {key!r}: {value!r}") from exc
-    config = ExperimentConfig(**values)
     try:
-        config.validate()
+        return ExperimentConfig(**values)
     except ConfigError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from None
-    return config
 
 
 @dataclass(frozen=True)
@@ -226,13 +219,10 @@ class ScenarioSetup:
     train: PopulationModel
     test_conditionals: PopulationModel
     min_error_classifier: ThresholdClassifier
-    tpr: float
-    fpr: float
 
 
 def build_setup(config: ExperimentConfig) -> ScenarioSetup:
     """Construct the training population, test conditionals, and base classifier."""
-    config.validate()
     params = BinormalParams(config.mu, config.nu, config.sigma)
     train = binormal_population(params, config.train_prevalence0)
     scenario = ShiftScenario(
@@ -243,13 +233,27 @@ def build_setup(config: ExperimentConfig) -> ScenarioSetup:
         envelope_sd=config.envelope_sd,
     )
     test_conditionals = make_test_population(scenario)
-    clf = bayes_classifier(train)
-    tpr, fpr = training_rates(train, clf)
-    return ScenarioSetup(config, train, test_conditionals, clf, tpr, fpr)
+    return ScenarioSetup(config, train, test_conditionals, bayes_classifier(train))
 
 
 def _scenario_base_stream(config: ExperimentConfig, repetition: int) -> int:
-    return _SCENARIO_INDEX[config.scenario] * _SCENARIO_STRIDE + repetition * _REPETITION_STRIDE
+    return list(ShiftKind).index(config.scenario) * _SCENARIO_STRIDE + repetition * _REPETITION_STRIDE
+
+
+def _evaluators(setup: ScenarioSetup, panel: str, rep: int):
+    """The panel's training evaluator, and a function from grid cell ``(j, q)`` to its
+    test evaluator; a sample panel draws each from its own stream of repetition ``rep``."""
+    if panel == "population":
+        test = PopulationEvaluator(setup.test_conditionals)
+        return PopulationEvaluator(setup.train), lambda j, q: test.at_prevalence(q)
+    config = setup.config
+    base = _scenario_base_stream(config, rep)
+
+    def draw(model: PopulationModel, slot: int) -> SampleEvaluator:
+        stream = RngStream(config.seed, base + slot)
+        return SampleEvaluator(stratified_sample(model, config.sample_size, stream))
+
+    return draw(setup.train, 0), lambda j, q: draw(setup.test_conditionals.with_prevalence(q), 1 + j)
 
 
 def _estimates_for_cell(setup: ScenarioSetup, evaluator, tpr: float, fpr: float) -> dict[str, float]:
@@ -275,9 +279,7 @@ def _metric_value(metric: str, true_q: float, estimate: float, evaluator, setup:
     adapted = adapt_threshold(setup.train, estimate)
     if metric == "accuracy":
         return accuracy(evaluator, adapted)
-    if metric == "f_measure":
-        return f_measure(evaluator, adapted)
-    raise ValueError(f"unknown metric {metric!r}")
+    return f_measure(evaluator, adapted)
 
 
 def _panel_cells(setup: ScenarioSetup, panel: str) -> dict[str, list[list[float]]]:
@@ -286,26 +288,14 @@ def _panel_cells(setup: ScenarioSetup, panel: str) -> dict[str, list[list[float]
     grid = config.test_prevalence_grid
     per_metric = {m: [[0.0] * len(grid) for _ in ROW_LABELS] for m in config.outputs}
     repetitions = config.repetitions if panel == "sample" else 1
-    population = PopulationEvaluator(setup.test_conditionals) if panel == "population" else None
 
     for rep in range(repetitions):
-        if panel == "sample":
-            base = _scenario_base_stream(config, rep)
-            # only the training rates are kept, not the training sample
-            train_sample = stratified_sample(
-                setup.train, config.sample_size, RngStream(config.seed, base)
-            )
-            tpr, fpr = SampleEvaluator(train_sample).rates_by_class(setup.min_error_classifier)
-            del train_sample
-        else:
-            tpr, fpr = setup.tpr, setup.fpr
+        train, test_at = _evaluators(setup, panel, rep)
+        # only the training rates are kept, not a training sample
+        tpr, fpr = train.rates_by_class(setup.min_error_classifier)
+        del train
         for j, q in enumerate(grid):
-            if panel == "sample":
-                stream = RngStream(config.seed, base + 1 + j)
-                test_model = setup.test_conditionals.with_prevalence(q)
-                evaluator = SampleEvaluator(stratified_sample(test_model, config.sample_size, stream))
-            else:
-                evaluator = population.at_prevalence(q)
+            evaluator = test_at(j, q)
             estimates = _estimates_for_cell(setup, evaluator, tpr, fpr)
             for metric in config.outputs:
                 for i, label in enumerate(ROW_LABELS):
@@ -369,21 +359,10 @@ def tables_to_json(tables: Iterable[ResultTable], config: ExperimentConfig) -> s
     """Serialize tables (full precision) and the configuration that made them."""
     payload = {
         "tables": [
-            {
-                "caption": t.caption,
-                "scenario": t.scenario,
-                "metric": t.metric,
-                "panel": t.panel,
-                "col_labels": list(t.col_labels),
-                "row_labels": list(t.row_labels),
-                "cells": [[None if math.isnan(v) else v for v in row] for row in t.cells],
-            }
+            {**asdict(t), "cells": [[None if math.isnan(v) else v for v in row] for row in t.cells]}
             for t in tables
         ],
-        "config": {
-            f.name: (getattr(config, f.name).value if f.name == "scenario" else getattr(config, f.name))
-            for f in fields(config)
-        },
+        "config": asdict(config),
     }
     return json.dumps(payload, indent=2)
 

@@ -175,7 +175,7 @@ class SampleEvaluator:
 
 def training_rates(train: PopulationModel, clf: ThresholdClassifier) -> tuple[float, float]:
     """(true positive rate, false positive rate) of ``clf`` on the training population."""
-    return clf.rate_class0(train.cdf0), clf.rate_class0(train.cdf1)
+    return PopulationEvaluator(train).rates_by_class(clf)
 
 
 def acc_estimate(

@@ -134,19 +134,19 @@ class TestStreamCapacity:
         return tuple((j + 1) / (cells + 1) for j in range(cells))
 
     def test_grid_cells_edge(self):
-        qs.ExperimentConfig(test_prevalence_grid=self._grid(1023)).validate()
+        qs.ExperimentConfig(test_prevalence_grid=self._grid(1023))
         with pytest.raises(qs.ConfigError, match="1023 grid cells"):
-            qs.ExperimentConfig(test_prevalence_grid=self._grid(1024)).validate()
+            qs.ExperimentConfig(test_prevalence_grid=self._grid(1024))
 
     def test_repetitions_edge(self):
-        qs.ExperimentConfig(repetitions=64).validate()
+        qs.ExperimentConfig(repetitions=64)
         with pytest.raises(qs.ConfigError, match="64 repetitions"):
-            qs.ExperimentConfig(repetitions=65).validate()
+            qs.ExperimentConfig(repetitions=65)
 
     def test_population_panel_has_no_stream_limit(self):
         qs.ExperimentConfig(
             test_prevalence_grid=self._grid(1024), repetitions=65, panels=("population",)
-        ).validate()
+        )
 
 
 class TestRunExperiment:
