@@ -91,12 +91,11 @@ def _cmd_run(args) -> int:
     else:
         configs = _benchmark_configs(**overrides)
 
-    # a scenario that cannot be built leaves no output directory behind
-    setups = [build_setup(config) for config in configs]
-    outdir = _make_outdir(args.outdir)
     all_tables: list[ResultTable] = []
-    for setup in setups:
-        config = setup.config
+    for config in configs:
+        setup = build_setup(config)
+        # made before any grid cell, but only once a scenario has been built
+        outdir = _make_outdir(args.outdir)
         tables = run_experiment(config, setup)
         all_tables.extend(tables)
         _write_tables(tables, outdir, args.format)

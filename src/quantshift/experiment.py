@@ -82,7 +82,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}") from None
         for name in ("test_prevalence_grid", "panels", "outputs"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        for name in ("mu", "nu", "sigma", "theta", "tau"):
+        for name in ("mu", "nu", "sigma", "theta", "tau", "cde_tol"):
             if not math.isfinite(getattr(self, _KEY_ALIASES.get(name, name))):
                 raise ConfigError(f"{name} must be finite")
         if self.sigma <= 0:
@@ -240,6 +240,11 @@ def _scenario_base_stream(config: ExperimentConfig, repetition: int) -> int:
     return list(ShiftKind).index(config.scenario) * _SCENARIO_STRIDE + repetition * _REPETITION_STRIDE
 
 
+def _repetitions(config: ExperimentConfig, panel: str) -> int:
+    """A population panel is exact, so only a sample panel is repeated."""
+    return config.repetitions if panel == "sample" else 1
+
+
 def _evaluators(setup: ScenarioSetup, panel: str, rep: int):
     """The panel's training evaluator, and a function from grid cell ``(j, q)`` to its
     test evaluator; a sample panel draws each from its own stream of repetition ``rep``."""
@@ -287,7 +292,7 @@ def _panel_cells(setup: ScenarioSetup, panel: str) -> dict[str, list[list[float]
     config = setup.config
     grid = config.test_prevalence_grid
     per_metric = {m: [[0.0] * len(grid) for _ in ROW_LABELS] for m in config.outputs}
-    repetitions = config.repetitions if panel == "sample" else 1
+    repetitions = _repetitions(config, panel)
 
     for rep in range(repetitions):
         train, test_at = _evaluators(setup, panel, rep)

@@ -99,6 +99,8 @@ class TestParseConfig:
             "sigma = inf",
             "scenario = invariant_ratio\ntau = inf",
             "theta = nan",
+            "cde_tol = nan",
+            "cde_tol = inf",
         ],
     )
     def test_non_finite_value_rejected(self, text):
