@@ -39,6 +39,7 @@ from .numerics import (
     NonFinite,
     NoSignChange,
     RngStream,
+    UnresolvedMeasure,
     find_root_bracketed,
     integrate_interval,
 )
@@ -63,7 +64,6 @@ from .shift import (
     NoInteriorSolution,
     ShiftKind,
     ShiftScenario,
-    UnresolvedMeasure,
     covariate_shift_identity_check,
     decompose_mixture,
     make_test_population,

@@ -32,10 +32,10 @@ from .experiment import (
     tables_from_json,
     tables_to_json,
 )
-from .numerics import NonFinite, NoSignChange
+from .numerics import NonFinite, NoSignChange, UnresolvedMeasure
 from .quantify import DegenerateClassifier
 from .sampling import EnvelopeViolation
-from .shift import NoInteriorSolution, ShiftKind, UnresolvedMeasure
+from .shift import NoInteriorSolution, ShiftKind
 
 _NUMERICAL_ERRORS = (
     NoInteriorSolution,

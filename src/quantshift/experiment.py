@@ -20,7 +20,7 @@ import numpy as np
 
 from .classify import ThresholdClassifier, adapt_threshold, bayes_classifier
 from .metrics import accuracy, f_measure, relative_error
-from .models import BinormalParams, PopulationModel, binormal_population
+from .models import BinormalParams, PopulationModel, binormal_density_ratio, binormal_population
 from .numerics import RngStream
 from .quantify import (
     PopulationEvaluator,
@@ -89,6 +89,10 @@ class ExperimentConfig:
             raise ConfigError("sigma must be positive")
         if not self.mu < self.nu:
             raise ConfigError("mu must be smaller than nu")
+        try:
+            binormal_density_ratio(BinormalParams(self.mu, self.nu, self.sigma))
+        except (ArithmeticError, ValueError):
+            raise ConfigError("mu, nu and sigma give a density ratio that is not finite") from None
         if self.envelope_sd <= 0:
             raise ConfigError("tau must be positive")
         if not 0.0 < self.train_prevalence0 < 1.0:

@@ -71,6 +71,8 @@ class DensityRatio:
     def __post_init__(self):
         if self.log_slope == 0:
             raise ValueError("log_slope must be nonzero (constant ratios are degenerate)")
+        if not (math.isfinite(self.log_slope) and math.isfinite(self.log_offset)):
+            raise ValueError("log_slope and log_offset must be finite")
 
     def __call__(self, x):
         return np.exp(self.log(x))

@@ -6,10 +6,10 @@ Everything in this module is pure given its inputs.  The random stream is a
 small explicit generator (splitmix64) implemented here so that sampled results
 are bit-reproducible independently of any library RNG: uniforms on every
 platform, gaussians wherever libm's log/cos/sin agree and numpy's float64
-cos/sin equal libm's.  The block gaussian path calls ``math.log`` once per
-element, because numpy's log does not always round like libm's, and takes
-cos/sin from numpy, which on the Box-Muller angles 2*pi*k*2**-53 rounds as
-libm does (``tests/test_numerics.py`` checks that on the running platform).
+cos/sin equal libm's.  The block gaussian path takes log from the long double,
+calling ``math.log`` only near a float64 rounding midpoint (see ``_EXTENDED``),
+and cos/sin from numpy, which on the Box-Muller angles 2*pi*k*2**-53 rounds as
+libm does (``tests/test_numerics.py`` checks both on the running platform).
 """
 
 from __future__ import annotations
@@ -28,6 +28,11 @@ class NoSignChange(ValueError):
 
 class NonFinite(ArithmeticError):
     """An integrand returned a non-finite value inside the integration range."""
+
+
+class UnresolvedMeasure(ArithmeticError):
+    """A node measure does not resolve its density: its nodes carry no mass,
+    or a CDF table built on them does not integrate to 1."""
 
 
 @dataclass(frozen=True)
@@ -201,6 +206,7 @@ def solve_prior_equation(log_r, weights, tol: float = 1e-12) -> PriorEquationRoo
     that leaves the bracket of the root, or is more than half as long as the
     step before it, is replaced by bisection.  The solve stops once a step is
     at most ``tol``.  Besides ``log_r`` it holds two arrays of its length.
+    Weights that sum to zero raise :class:`UnresolvedMeasure`.
     """
     log_r = np.asarray(log_r, dtype=float)
     with np.errstate(divide="ignore"):
@@ -208,7 +214,10 @@ def solve_prior_equation(log_r, weights, tol: float = 1e-12) -> PriorEquationRoo
     if np.ndim(weights) == 0:
         log_total = float(log_w) + math.log(log_r.size)
     else:
-        log_total = math.log(float(np.sum(weights)))
+        total = float(np.sum(weights))
+        if not total > 0.0:
+            raise UnresolvedMeasure(f"the measure's weights sum to {total!r}; its nodes carry no mass")
+        log_total = math.log(total)
     g = np.add(log_w, log_r, out=np.empty_like(log_r))
     log_moment_r = _log_sum_exp(g) - log_total
     np.subtract(log_w, log_r, out=g)
@@ -254,6 +263,13 @@ _TWO_PI = 2.0 * math.pi
 # words) at a time, which bounds their temporary memory.
 _BLOCK_PAIRS = 4096
 
+# numpy's float64 log rounds otherwise than libm's (on 0.35% of uniforms with
+# numpy 2.4.6).  The 80-bit long double of x86-64 keeps 11 more significand
+# bits, the low bits of its first 8 bytes.  Where they lie more than 61/2048 ulp
+# from a float64 rounding midpoint, logl rounds to the correctly rounded log, as
+# does glibc's log (< 0.52 ulp); ``_log`` sends only the rest to ``math.log``.
+_EXTENDED = np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize == 16
+
 
 def _mix64(z: int) -> int:
     # splitmix64 finalizer (Steele, Lea & Flood)
@@ -274,16 +290,25 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
 
 
 def _libm(fn, values: np.ndarray) -> np.ndarray:
-    # numpy's log rounds differently from the C library's on some inputs
-    # (0.35% of uniforms with numpy 2.4.6), so the block path calls the same
-    # ``math`` function as the scalar path, one element at a time
+    # one ``math`` call per element, exactly as the scalar path makes it
     return np.fromiter(map(fn, values.tolist()), dtype=float, count=len(values))
+
+
+def _log(u: np.ndarray) -> np.ndarray:
+    """``math.log`` of each element, bit for bit (see ``_EXTENDED``)."""
+    if not _EXTENDED:
+        return _libm(math.log, u)
+    ext = np.log(u.astype(np.longdouble))
+    out = ext.astype(float)
+    near = ((ext.view(np.uint64)[0::2] - np.uint64(1024 - 61)) & np.uint64(0x7FF)) <= 2 * 61
+    out[near] = _libm(math.log, u[near])
+    return out
 
 
 def _box_muller(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The cosine and sine gaussians of uniform pairs, exactly as
     :meth:`RngStream.next_gaussian` computes them (``u1`` must be nonzero)."""
-    radius = np.sqrt(-2.0 * _libm(math.log, u1))
+    radius = np.sqrt(-2.0 * _log(u1))
     angle = _TWO_PI * u2
     return radius * np.cos(angle), radius * np.sin(angle)
 

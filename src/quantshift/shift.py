@@ -27,7 +27,7 @@ from .models import (
     panel_edges,
     posterior,
 )
-from .numerics import gauss_legendre_nodes, solve_prior_equation
+from .numerics import UnresolvedMeasure, gauss_legendre_nodes, solve_prior_equation
 from .sampling import RejectionSampler
 
 # Existence of an interior mixture weight requires both ratio moments to
@@ -49,11 +49,6 @@ class NoInteriorSolution(ArithmeticError):
     def __init__(self, message: str, failed_moment: str):
         super().__init__(message)
         self.failed_moment = failed_moment
-
-
-class UnresolvedMeasure(ArithmeticError):
-    """A test conditional's CDF table does not integrate to 1 over its support,
-    so its panels do not resolve the decomposition."""
 
 
 @dataclass(frozen=True)

@@ -345,6 +345,26 @@ class TestCli:
         assert "test conditionals have masses" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "content, code, message",
+        [
+            ("sigma = 1e-300\n", 1, "density ratio that is not finite"),
+            ("sigma = 1e-160\n", 1, "density ratio that is not finite"),
+            ("nu = 1e200\n", 1, "density ratio that is not finite"),
+            ("scenario = invariant_ratio\ntau = 1e-300\n", 2, "nodes carry no mass"),
+        ],
+        ids=["sigma", "sigma_subnormal_square", "nu", "tau"],
+    )
+    def test_finite_extreme_exit_code(self, tmp_path, capsys, content, code, message):
+        # these ended in tracebacks: sigma**2 underflows to 0 (ZeroDivisionError)
+        # or to a subnormal that makes the ratio infinite, nu**2 overflows
+        # (OverflowError), and the envelope window mean +- 12 tau rounds to one
+        # point, so every node weight is 0 (math domain error)
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(content + "panels = population\n")
+        assert main(["run", str(config_path), "--outdir", str(tmp_path / "out")]) == code
+        assert message in capsys.readouterr().err
+
     def test_tables_rerender(self, tmp_path):
         config_path = tmp_path / "exp.cfg"
         config_path.write_text(

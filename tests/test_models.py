@@ -135,3 +135,8 @@ class TestValidation:
     def test_ratio_slope(self):
         with pytest.raises(ValueError):
             qs.DensityRatio(0.0, 1.0)
+
+    @pytest.mark.parametrize("slope, offset", [(math.inf, 0.0), (-1.0, -math.inf), (math.nan, 1.0)])
+    def test_ratio_coefficients_finite(self, slope, offset):
+        with pytest.raises(ValueError, match="must be finite"):
+            qs.DensityRatio(slope, offset)

@@ -5,14 +5,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from quantshift import numerics
 from quantshift.numerics import (
     Bracket,
     NonFinite,
     NoSignChange,
     _TWO_PI,
     RngStream,
+    UnresolvedMeasure,
     _box_muller,
     _libm,
+    _log,
     _mix64,
     find_root_bracketed,
     gauss_legendre_nodes,
@@ -170,6 +173,10 @@ class TestPriorEquationSolver:
         root = solve_prior_equation(np.array([2000.0, 1.0, -1.0]), np.array([0.0, 0.5, 0.5]))
         assert root.log_moment_r == pytest.approx(math.log(math.cosh(1.0)), rel=1e-14)
         assert root.value == pytest.approx(0.5, abs=1e-15)
+
+    def test_weights_summing_to_zero_raise(self):
+        with pytest.raises(UnresolvedMeasure, match="nodes carry no mass"):
+            solve_prior_equation(np.array([1.0, -1.0]), np.zeros(2))
 
     def test_terms_stay_finite_at_extreme_log_ratios(self):
         c = reciprocal_excess(np.array([1000.0, -1000.0, 0.0]))
@@ -346,3 +353,59 @@ class TestRngStreamBlocks:
     def test_unmix_inverts_finalizer(self):
         for word in (0, 1, 1234, _GOLDEN, _MASK64):
             assert _mix64(_unmix64(word)) == word
+
+
+@pytest.fixture(scope="module")
+def log_inputs():
+    """Inputs for the block log, with ``math.log`` of each: 2,000,000 uniforms
+    of one stream, u1 = k * 2**-53 for the 200,000 smallest and largest k, and
+    the powers of two in (0, 1] with their neighbours."""
+    uniforms = RngStream(42, 7).uniforms(2_000_000)
+    k = np.concatenate([np.arange(1, 200_001), np.arange((1 << 53) - 200_000, 1 << 53)])
+    powers = np.ldexp(1.0, -np.arange(1075))
+    near_powers = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, 2.0)])
+    near_powers = near_powers[(near_powers > 0.0) & (near_powers <= 1.0)]
+    inputs = {"stream": uniforms, "edges": k * 2.0**-53, "powers": near_powers}
+    return {name: (u, _libm(math.log, u)) for name, u in inputs.items()}
+
+
+class TestBlockLog:
+    """The block gaussians rest on ``_log`` equalling ``math.log`` bit for bit."""
+
+    @pytest.mark.parametrize("name", ["stream", "edges", "powers"])
+    def test_equals_math_log(self, log_inputs, name):
+        u, want = log_inputs[name]
+        got = _log(u)
+        differ = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+        assert differ.size == 0, f"_log != math.log at {differ.size} inputs, first {u[differ[0]]!r}"
+
+    def test_equals_math_log_where_numpy_log_does_not(self, log_inputs):
+        # 6,928 of these 2,000,000 uniforms with numpy 2.4.6; an empty set
+        # would leave this test checking nothing
+        u, want = log_inputs["stream"]
+        wrong = np.log(u).view(np.uint64) != want.view(np.uint64)
+        assert wrong.any()
+        assert _log(u[wrong]).tobytes() == want[wrong].tobytes()
+
+    @pytest.mark.parametrize("name", ["stream", "edges", "powers"])
+    def test_without_the_long_double_every_element_goes_to_libm(self, log_inputs, monkeypatch, name):
+        u, want = log_inputs[name]
+        extended = _log(u)
+        monkeypatch.setattr(numerics, "_EXTENDED", False)
+        assert _log(u).tobytes() == extended.tobytes() == want.tobytes()
+
+    @pytest.mark.skipif(not numerics._EXTENDED, reason="the midpoint test needs the 80-bit long double")
+    def test_libm_sees_only_the_elements_near_a_midpoint(self, monkeypatch):
+        # a deterministic work counter: a block path that fell back to one
+        # math.log call per element would send all 1,000,000 u1 uniforms
+        sent = []
+
+        def counting_libm(fn, values):
+            sent.append(values.size)
+            return _libm(fn, values)
+
+        monkeypatch.setattr(numerics, "_libm", counting_libm)
+        stream = RngStream(42, 7)
+        stream.gaussians(2_000_000)
+        assert stream.words_drawn == 2_000_000
+        assert sum(sent) == 60_200 <= 100_000
