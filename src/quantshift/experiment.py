@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 from typing import Iterable
 
 import numpy as np
@@ -249,20 +250,13 @@ def _repetitions(config: ExperimentConfig, panel: str) -> int:
     return config.repetitions if panel == "sample" else 1
 
 
-def _evaluators(setup: ScenarioSetup, panel: str, rep: int):
-    """The panel's training evaluator, and a function from grid cell ``(j, q)`` to its
-    test evaluator; a sample panel draws each from its own stream of repetition ``rep``."""
+def _evaluator(setup: ScenarioSetup, panel: str, rep: int, model: PopulationModel, slot: int):
+    """The panel's evaluator of ``model``; a sample panel draws it from stream ``slot`` of ``rep``."""
     if panel == "population":
-        test = PopulationEvaluator(setup.test_conditionals)
-        return PopulationEvaluator(setup.train), lambda j, q: test.at_prevalence(q)
+        return PopulationEvaluator(model)
     config = setup.config
-    base = _scenario_base_stream(config, rep)
-
-    def draw(model: PopulationModel, slot: int) -> SampleEvaluator:
-        stream = RngStream(config.seed, base + slot)
-        return SampleEvaluator(stratified_sample(model, config.sample_size, stream))
-
-    return draw(setup.train, 0), lambda j, q: draw(setup.test_conditionals.with_prevalence(q), 1 + j)
+    stream = RngStream(config.seed, _scenario_base_stream(config, rep) + slot)
+    return SampleEvaluator(stratified_sample(model, config.sample_size, stream))
 
 
 def _estimates_for_cell(setup: ScenarioSetup, evaluator, tpr: float, fpr: float) -> dict[str, float]:
@@ -299,12 +293,11 @@ def _panel_cells(setup: ScenarioSetup, panel: str) -> dict[str, list[list[float]
     repetitions = _repetitions(config, panel)
 
     for rep in range(repetitions):
-        train, test_at = _evaluators(setup, panel, rep)
+        evaluate = partial(_evaluator, setup, panel, rep)
         # only the training rates are kept, not a training sample
-        tpr, fpr = train.rates_by_class(setup.min_error_classifier)
-        del train
+        tpr, fpr = evaluate(setup.train, 0).rates_by_class(setup.min_error_classifier)
         for j, q in enumerate(grid):
-            evaluator = test_at(j, q)
+            evaluator = evaluate(setup.test_conditionals.with_prevalence(q), 1 + j)
             estimates = _estimates_for_cell(setup, evaluator, tpr, fpr)
             for metric in config.outputs:
                 for i, label in enumerate(ROW_LABELS):
@@ -377,16 +370,20 @@ def tables_to_json(tables: Iterable[ResultTable], config: ExperimentConfig) -> s
 
 
 def tables_from_json(text: str) -> list[ResultTable]:
-    payload = json.loads(text)
-    return [
-        ResultTable(
-            caption=t["caption"],
-            scenario=t["scenario"],
-            metric=t["metric"],
-            panel=t["panel"],
-            col_labels=tuple(t["col_labels"]),
-            row_labels=tuple(t["row_labels"]),
-            cells=tuple(tuple(math.nan if v is None else v for v in row) for row in t["cells"]),
-        )
-        for t in payload["tables"]
-    ]
+    """Tables from :func:`tables_to_json`; :class:`ConfigError` unless the names are known, the labels
+    strings and the cells one number (not a bool) or null per row and column label."""
+    tables = []
+    for t in json.loads(text)["tables"]:
+        scenario, metric, panel = t["scenario"], t["metric"], t["panel"]
+        if scenario not in [k.value for k in ShiftKind] or metric not in OUTPUTS or panel not in PANELS:
+            raise ConfigError(f"unknown scenario, metric or panel in {scenario!r}, {metric!r}, {panel!r}")
+        rows, row_labels, col_labels = t["cells"], tuple(t["row_labels"]), tuple(t["col_labels"])
+        strings = all(type(label) is str for label in row_labels + col_labels)
+        if not strings or len(rows) != len(row_labels) or any(
+            len(row) != len(col_labels) or any(type(v) not in (int, float, type(None)) for v in row)
+            for row in rows
+        ):
+            raise ConfigError("a table needs string labels and one number or null per row and column label")
+        cells = tuple(tuple(math.nan if v is None else v for v in row) for row in rows)
+        tables.append(ResultTable(t["caption"], scenario, metric, panel, col_labels, row_labels, cells))
+    return tables

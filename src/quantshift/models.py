@@ -1,6 +1,6 @@
 """Distribution models on the real line: the equal-variance binormal family,
 log-linear density ratios, posteriors, and populations that carry their
-ratio and exact samplers.
+ratio, exact samplers and node measure.
 
 All densities and ratios are plain callables that accept either a float or a
 numpy array.  Populations are immutable after construction.
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cache, partial
 from typing import Callable, Protocol
 
 import numpy as np
@@ -140,7 +141,8 @@ class PopulationModel:
     ``support`` is the window outside which both densities are numerically
     negligible; population integrals run over it.  ``ratio`` is the analytic
     f0/f1, and ``sampler0``/``sampler1`` draw values from the class
-    conditionals.
+    conditionals.  ``nodes()`` returns ``node_masses(support, ratio, f0, f1)``,
+    built on the first call and shared by every :meth:`with_prevalence` copy.
     """
 
     f0: Density
@@ -152,6 +154,7 @@ class PopulationModel:
     ratio: DensityRatio
     sampler0: Sampler = field(repr=False)
     sampler1: Sampler = field(repr=False)
+    nodes: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]] = field(repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.prevalence0 < 1.0:
@@ -182,16 +185,19 @@ def binormal_population(params: BinormalParams, prevalence0: float) -> Populatio
     """Population with normal class conditionals, analytic CDFs and exact samplers."""
     mu, nu, sigma = params.mu, params.nu, params.sigma
     pad = TRUNCATION_HALFWIDTH * sigma
+    f0, f1 = partial(normal_pdf, mean=mu, sd=sigma), partial(normal_pdf, mean=nu, sd=sigma)
+    support, ratio = (mu - pad, nu + pad), binormal_density_ratio(params)
     return PopulationModel(
-        f0=lambda x: normal_pdf(x, mu, sigma),
-        f1=lambda x: normal_pdf(x, nu, sigma),
+        f0=f0,
+        f1=f1,
         cdf0=lambda x: normal_cdf(x, mu, sigma),
         cdf1=lambda x: normal_cdf(x, nu, sigma),
         prevalence0=prevalence0,
-        support=(mu - pad, nu + pad),
-        ratio=binormal_density_ratio(params),
+        support=support,
+        ratio=ratio,
         sampler0=NormalSampler(mu, sigma),
         sampler1=NormalSampler(nu, sigma),
+        nodes=cache(partial(node_masses, support, ratio, f0, f1)),
     )
 
 
@@ -212,21 +218,28 @@ def panel_edges(support: tuple[float, float], ratio: DensityRatio) -> np.ndarray
     return edges
 
 
+def node_masses(support: tuple[float, float], ratio: DensityRatio, *densities: Density) -> tuple:
+    """A population's node measure: the 15-point Gauss-Legendre nodes of
+    ``panel_edges(support, ratio)``, then each density's node weights times its values there."""
+    points, weights = gauss_legendre_nodes(panel_edges(support, ratio))
+    return (points, *(weights * density(points) for density in densities))
+
+
 class GridCdf:
     """Quadrature-backed CDF of a density on the panels between ``edges``.
 
-    The Gauss-Legendre mass of each panel is cached at construction; a query
-    adds the partial panel containing x, so the accuracy is that of the
-    quadrature rule, not of any interpolation.  Queries below/above the edges
-    return 0/1.
+    ``masses`` are the density's node masses on the 15-point nodes of those
+    panels, panel by panel (as :func:`node_masses` gives them); their panel
+    sums are cached at construction.  A query adds the partial panel
+    containing x, so the accuracy is that of the quadrature rule, not of any
+    interpolation.  Queries below/above the edges return 0/1.
     """
 
-    def __init__(self, density: Density, edges: np.ndarray):
+    def __init__(self, density: Density, edges: np.ndarray, masses: np.ndarray):
         self._density = density
         self._edges = edges
-        points, weights = gauss_legendre_nodes(edges)
-        masses = (weights * density(points)).reshape(len(edges) - 1, -1).sum(axis=1)
-        self._cum = np.concatenate([[0.0], np.cumsum(masses)])
+        panel_masses = masses.reshape(len(edges) - 1, -1).sum(axis=1)
+        self._cum = np.concatenate([[0.0], np.cumsum(panel_masses)])
         self.total_mass = float(self._cum[-1])
 
     def __call__(self, x: float) -> float:
@@ -237,5 +250,5 @@ class GridCdf:
         i = int(np.searchsorted(self._edges, x, side="right")) - 1
         a = float(self._edges[i])
         mid, half = 0.5 * (a + x), 0.5 * (x - a)
-        partial = half * float(self._density(mid + half * _GL_NODES) @ _GL_WEIGHTS)
-        return min(1.0, float(self._cum[i]) + partial)
+        part = half * float(self._density(mid + half * _GL_NODES) @ _GL_WEIGHTS)
+        return min(1.0, float(self._cum[i]) + part)

@@ -6,8 +6,9 @@ questions about the test distribution: the rate of class-0 decisions of a
 classifier, and the feature distribution as a weighted point set (its
 ``measure``), over which expectations are sums.  Decision sets are
 half-lines, so on both backends a rate is a CDF evaluated at the cut.  A
-:class:`PopulationEvaluator` answers from the model (the class-conditional
-CDFs and fixed Gauss-Legendre nodes); a :class:`SampleEvaluator` answers from
+:class:`PopulationEvaluator` answers from the model: rates from its
+class-conditional CDFs, and the measure from the node measure the model
+carries (``PopulationModel.nodes``).  A :class:`SampleEvaluator` answers from
 the features of a sample, each weighted 1/n, and takes a rate as a count in
 its sorted features.  Estimators never look at test labels through either
 backend.
@@ -22,8 +23,8 @@ from typing import Callable, Protocol, runtime_checkable
 import numpy as np
 
 from .classify import ThresholdClassifier, weighted_bayes_classifier
-from .models import DensityRatio, PopulationModel, panel_edges
-from .numerics import gauss_legendre_nodes, solve_prior_equation
+from .models import DensityRatio, PopulationModel
+from .numerics import solve_prior_equation
 from .sampling import LabeledDataset
 
 _DEGENERATE_RATE_GAP = 1e-12
@@ -68,28 +69,13 @@ class PopulationEvaluator:
     """Exact evaluation against a test population model.
 
     Rates come from the class-conditional CDFs.  The feature distribution is
-    a fixed node measure: composite 15-point Gauss-Legendre nodes on the
-    panels of ``panel_edges(model.support, model.ratio)``, with weight
-    q w0 + (1 - q) w1 where w0 and w1 are the node weights times f0 and f1.
-    Those depend only on the conditional pair; they are computed on first
-    use and shared by the evaluators that :meth:`at_prevalence` makes.
+    the model's node measure ``model.nodes()``, the nodes with the node masses
+    w0 of f0 and w1 of f1, weighted q w0 + (1 - q) w1.  The evaluator keeps no
+    state: the model builds the nodes once per conditional pair.
     """
 
     def __init__(self, model: PopulationModel):
         self.model = model
-        self._nodes: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-
-    def at_prevalence(self, prevalence0: float) -> "PopulationEvaluator":
-        """An evaluator of the same conditionals at another prevalence."""
-        shifted = PopulationEvaluator(self.model.with_prevalence(prevalence0))
-        shifted._nodes = self._node_values()
-        return shifted
-
-    def _node_values(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._nodes is None:
-            points, weights = gauss_legendre_nodes(panel_edges(self.model.support, self.model.ratio))
-            self._nodes = (points, weights * self.model.f0(points), weights * self.model.f1(points))
-        return self._nodes
 
     @property
     def prevalence0(self) -> float:
@@ -106,7 +92,7 @@ class PopulationEvaluator:
 
     def measure(self) -> tuple[np.ndarray, np.ndarray]:
         """The nodes and their weights under the test marginal density."""
-        points, w0, w1 = self._node_values()
+        points, w0, w1 = self.model.nodes()
         q = self.model.prevalence0
         return points, q * w0 + (1.0 - q) * w1
 

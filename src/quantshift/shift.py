@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache, partial
 
 import numpy as np
 
@@ -23,11 +24,12 @@ from .models import (
     NormalSampler,
     PopulationModel,
     TRUNCATION_HALFWIDTH,
+    node_masses,
     normal_pdf,
     panel_edges,
     posterior,
 )
-from .numerics import UnresolvedMeasure, gauss_legendre_nodes, solve_prior_equation
+from .numerics import UnresolvedMeasure, solve_prior_equation
 from .sampling import RejectionSampler
 
 # Existence of an interior mixture weight requires both ratio moments to
@@ -87,18 +89,16 @@ def decompose_mixture(
         integral of (R - 1) / (1 + q (R - 1)) h* dx = 0,
 
     which exists iff both E[R] > 1 and E[1/R] > 1 under h*.  The integral is
-    a sum over the Gauss-Legendre nodes of ``panel_edges(support, ratio)``
-    weighted by h* (the nodes a population on that support uses), and
-    :func:`~quantshift.numerics.solve_prior_equation` finds the root.  The
-    component densities are h0 = R h* / (1 + q*(R - 1)) and
-    h1 = h* / (1 + q*(R - 1)), evaluated from log R so that they stay finite
-    where R overflows.
+    a sum over ``node_masses(support, ratio, h_star)``, the node measure of a
+    population on that support, and :func:`~quantshift.numerics.solve_prior_equation`
+    finds the root.  The component densities are h0 = R h* / (1 + q*(R - 1))
+    and h1 = h* / (1 + q*(R - 1)), evaluated from log R so that they stay
+    finite where R overflows.
 
     Raises:
         NoInteriorSolution: naming the moment inequality that failed.
     """
-    points, weights = gauss_legendre_nodes(panel_edges(support, ratio))
-    weights *= h_star(points)
+    points, weights = node_masses(support, ratio, h_star)
     root = solve_prior_equation(ratio.log(points), weights)
     if root.log_moment_r <= math.log1p(_MOMENT_MARGIN):
         raise NoInteriorSolution(
@@ -133,8 +133,9 @@ def make_test_population(scenario: ShiftScenario) -> PopulationModel:
     Under prior probability shift the training conditionals are reused with
     the new prevalence.  For the derived kinds, the conditional pair comes
     from the envelope decomposition and is the same for every test prevalence;
-    their CDFs are quadrature-backed and their samplers accept-reject with the
-    exact envelope constants 1/q* (class 0) and 1/(1-q*) (class 1).
+    their CDF tables sum the population's node masses, built here, and their
+    samplers accept-reject with the exact envelope constants 1/q* (class 0)
+    and 1/(1-q*) (class 1).
 
     Raises:
         NoInteriorSolution: if the envelope admits no interior mixture weight.
@@ -156,8 +157,9 @@ def make_test_population(scenario: ShiftScenario) -> PopulationModel:
     support = (mean - pad, mean + pad)
     q_star, h0, h1 = decompose_mixture(h_star, ratio, support)
 
-    edges = panel_edges(support, ratio)
-    cdf0, cdf1 = GridCdf(h0, edges), GridCdf(h1, edges)
+    nodes = cache(partial(node_masses, support, ratio, h0, h1))
+    edges, (_, mass0, mass1) = panel_edges(support, ratio), nodes()
+    cdf0, cdf1 = GridCdf(h0, edges, mass0), GridCdf(h1, edges, mass1)
     masses = (cdf0.total_mass, cdf1.total_mass)
     if not all(abs(mass - 1.0) <= _MASS_TOLERANCE for mass in masses):
         raise UnresolvedMeasure(
@@ -175,6 +177,7 @@ def make_test_population(scenario: ShiftScenario) -> PopulationModel:
         ratio=ratio,
         sampler0=RejectionSampler(h0, proposal, h_star, 1.0 / q_star),
         sampler1=RejectionSampler(h1, proposal, h_star, 1.0 / (1.0 - q_star)),
+        nodes=nodes,
     )
 
 

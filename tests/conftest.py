@@ -1,11 +1,13 @@
 import contextlib
 import math
 import signal
+import sys
 
 import pytest
 from hypothesis import strategies as st
 
 import quantshift as qs
+from quantshift import numerics
 
 GRID = (0.01, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99)
 
@@ -27,6 +29,23 @@ def deadline(seconds: float):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def node_builds(monkeypatch):
+    """The edge arrays of every Gauss-Legendre node build (``gauss_legendre_nodes``
+    call) made through any quantshift module while the test runs."""
+    builds = []
+    original = numerics.gauss_legendre_nodes
+
+    def counted(edges):
+        builds.append(edges)
+        return original(edges)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("quantshift.") and getattr(module, "gauss_legendre_nodes", None) is original:
+            monkeypatch.setattr(module, "gauss_legendre_nodes", counted)
+    return builds
 
 
 def threshold_classifiers(features):

@@ -318,6 +318,45 @@ class TestCli:
         assert main(["run", "--panel", "population", "--outdir", str(outdir)]) == 1
         assert capsys.readouterr().err.startswith(f"configuration error: cannot write to {outdir}")
 
+    @pytest.mark.parametrize(
+        "field", [{"scenario": "../../x"}, {"metric": "../x"}, {"panel": "population/../../x"}],
+        ids=["scenario", "metric", "panel"],
+    )
+    def test_tables_unknown_name_writes_nothing(self, tmp_path, capsys, field):
+        # the names make the file names, so an unknown one could write outside --outdir
+        results = tmp_path / "in" / "results.json"
+        results.parent.mkdir()
+        results.write_text(_results_json(**field))
+        assert main(["tables", str(results), "--outdir", str(tmp_path / "a" / "b")]) == 1
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert sorted(tmp_path.rglob("*")) == [results.parent, results]
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"cells": [[0.3, "0.7"], [0.31, None]]},
+            {"cells": [[0.3, 0.7], [0.31]]},
+            {"cells": [[0.3, 0.7]]},
+            {"cells": [[0.3, True], [0.31, None]]},
+            {"col_labels": [0.3, 0.7]},
+        ],
+        ids=["string_cell", "short_row", "missing_row", "bool_cell", "number_label"],
+    )
+    def test_tables_malformed_table_exit_code(self, tmp_path, capsys, field):
+        results = tmp_path / "results.json"
+        results.write_text(_results_json(**field))
+        assert main(["tables", str(results), "--outdir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_tables_accepts_integer_and_null_cells(self, tmp_path):
+        results = tmp_path / "results.json"
+        results.write_text(_results_json(cells=[[0, 1], [0.31, None]]))
+        assert main(["tables", str(results), "--outdir", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "prior_shift_prevalence_population.csv").read_text() == (
+            "Q[Y=0],0.3,0.7\nACC,0.0000,1.0000\nEM,0.3100,NaN\n"
+        )
+
     def test_tables_unwritable_outdir_exit_code(self, tmp_path, capsys):
         results = tmp_path / "prior_shift_results.json"
         results.write_text(tables_to_json([], qs.ExperimentConfig()))
@@ -403,6 +442,32 @@ class TestCli:
         main(["run", str(config_path), "--outdir", str(out2)])
         for name in ("prior_shift_prevalence_sample_full.csv", "prior_shift_prevalence_population_full.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def _results_json(**fields) -> str:
+    """A results file holding one 2 x 2 prevalence table, with ``fields`` replaced."""
+    table = {
+        "caption": "c", "scenario": "prior_shift", "metric": "prevalence", "panel": "population",
+        "col_labels": ["0.3", "0.7"], "row_labels": ["ACC", "EM"], "cells": [[0.3, 0.7], [0.31, None]],
+    }
+    return json.dumps({"tables": [{**table, **fields}]})
+
+
+class TestNodeBuilds:
+    """Each population builds its node measure once, on first use, and every
+    module reads it from there (``PopulationModel.nodes``)."""
+
+    def test_verify_builds_five_node_measures(self, node_builds, capsys):
+        # prior shift: the training conditionals; each derived scenario: the
+        # envelope in the decomposition, then the test conditionals
+        assert main(["verify"]) == 0
+        assert len(node_builds) == 5
+
+    def test_sample_only_prior_shift_builds_none(self, node_builds, tmp_path):
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text("panels = sample\nsample_size = 300\ntest_prevalence_grid = 0.3, 0.7\n")
+        assert main(["run", str(config_path), "--outdir", str(tmp_path / "out")]) == 0
+        assert node_builds == []
 
 
 def _prevalence_tables(scenario: str, panel: str = "population", **fields) -> dict:

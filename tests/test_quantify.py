@@ -109,9 +109,8 @@ class TestEmEstimate:
         # the node measure of a derived population is the one its mixture
         # weight was solved on, so EM recovers q to rounding
         for model in (train, invariant_test):
-            population = qs.PopulationEvaluator(model)
             for q in GRID:
-                est = qs.em_estimate(population.at_prevalence(q), train.ratio)
+                est = qs.em_estimate(qs.PopulationEvaluator(model.with_prevalence(q)), train.ratio)
                 assert abs(est.value - q) <= 1e-12
 
     def test_sqrt_ratio_witness(self, train, sqrt_test):
@@ -279,11 +278,21 @@ class TestPopulationEvaluator:
         # class means 0 and 2
         assert evaluator.expect(lambda x: x) == pytest.approx(0.8 * 2.0, abs=1e-13)
 
-    def test_at_prevalence_shares_the_nodes(self, invariant_test):
-        base = qs.PopulationEvaluator(invariant_test)
-        shifted = base.at_prevalence(0.2)
-        assert shifted.prevalence0 == 0.2 and shifted.model.f0 is invariant_test.f0
-        assert shifted.measure()[0] is base.measure()[0]
-        direct = qs.PopulationEvaluator(invariant_test.with_prevalence(0.2)).measure()[1]
-        assert np.array_equal(shifted.measure()[1], direct)
+    def test_with_prevalence_copies_share_one_node_build(self, node_builds, train):
+        derived = qs.ShiftScenario(qs.ShiftKind.INVARIANT_RATIO, train, 0.5)
+        # a derived population adds the decomposition's build on the envelope;
+        # its CDF tables and every evaluator share the conditionals' one build
+        for make, builds in (
+            (lambda: qs.binormal_population(qs.BinormalParams(), 0.5), 1),
+            (lambda: qs.make_test_population(derived), 2),
+        ):
+            node_builds.clear()
+            base = make()
+            shifted = [base.with_prevalence(q) for q in (0.2, 0.7)]
+            assert shifted[0].prevalence0 == 0.2 and shifted[0].nodes is base.nodes
+            measures = [qs.PopulationEvaluator(model).measure() for model in (base, *shifted)]
+            assert len(node_builds) == builds
+            assert all(points is measures[0][0] for points, _ in measures)
+            w0, w1 = base.nodes()[1:]
+            assert np.array_equal(measures[1][1], 0.2 * w0 + 0.8 * w1)
 
