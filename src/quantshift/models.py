@@ -79,8 +79,11 @@ class DensityRatio:
         return np.exp(self.log(x))
 
     def log(self, x):
-        """log R(x), which stays finite where R itself overflows."""
-        return self.log_slope * np.asarray(x, dtype=float) + self.log_offset
+        """log R(x), which stays finite where R itself overflows, in one new
+        array: the product with the slope, to which the offset is added in place."""
+        log_r = self.log_slope * np.asarray(x, dtype=float)
+        log_r += self.log_offset
+        return log_r
 
     @property
     def decreasing(self) -> bool:
@@ -214,7 +217,9 @@ def panel_edges(support: tuple[float, float], ratio: DensityRatio) -> np.ndarray
     a, b = sorted((log_r - ratio.log_offset) / ratio.log_slope for log_r in (-40.0, 40.0))
     a, b = max(a, lo), min(b, hi)
     if a < b:
-        edges = np.union1d(edges, np.linspace(a, b, _BAND_PANELS + 1))
+        # sort and drop repeats: np.union1d would import numpy.ma on first use
+        edges = np.sort(np.concatenate((edges, np.linspace(a, b, _BAND_PANELS + 1))))
+        edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
     return edges
 
 

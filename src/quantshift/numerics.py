@@ -143,16 +143,17 @@ def gauss_legendre_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return points.ravel(), weights.ravel()
 
 
-def reciprocal_excess(log_r: np.ndarray) -> np.ndarray:
-    """c = 1 / (R - 1) from an array of log R, as a new array.
+def reciprocal_excess(log_r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """c = 1 / (R - 1) from an array of log R, in ``out`` or, by default, a new array.
 
-    The likelihood term (R - 1) / (1 + q (R - 1)) equals 1 / (c + q).  That
+    ``out`` may be ``log_r`` itself, which then ends holding c.  The
+    likelihood term (R - 1) / (1 + q (R - 1)) equals 1 / (c + q).  That
     never overflows: c is never inside (-1, 0), so the term lies between
     -1 / (1 - q) and 1 / q.  Where R - 1 overflows (log R > 709) c is 0, and
     where R = 1 it is infinite; the term then takes its limits 1 / q and 0.
     """
     with np.errstate(over="ignore", divide="ignore"):
-        c = np.expm1(np.asarray(log_r, dtype=float))
+        c = np.expm1(np.asarray(log_r, dtype=float), out=out)
         np.divide(1.0, c, out=c)
     return c
 
@@ -205,8 +206,10 @@ def solve_prior_equation(log_r, weights, tol: float = 1e-12) -> PriorEquationRoo
     step overflows.  Newton steps use f'(q) = -E_w[(1 / (c + q))^2]; a step
     that leaves the bracket of the root, or is more than half as long as the
     step before it, is replaced by bisection.  The solve stops once a step is
-    at most ``tol``.  Besides ``log_r`` it holds two arrays of its length.
-    Weights that sum to zero raise :class:`UnresolvedMeasure`.
+    at most ``tol``.  ``log_r`` is consumed: c is computed in its storage
+    when it is a float64 array, so that the solve holds one scratch array of
+    its length beside it.  Weights that sum to zero raise
+    :class:`UnresolvedMeasure`.
     """
     log_r = np.asarray(log_r, dtype=float)
     with np.errstate(divide="ignore"):
@@ -227,7 +230,7 @@ def solve_prior_equation(log_r, weights, tol: float = 1e-12) -> PriorEquationRoo
     if not log_moment_inv > 0.0:
         return PriorEquationRoot(1.0, log_moment_r, log_moment_inv, 0)
 
-    c = reciprocal_excess(log_r)
+    c = reciprocal_excess(log_r, out=log_r)
     lo, hi = _Q_FLOOR, 1.0 - _Q_FLOOR
     q, last_step = 0.5, hi - lo
     for steps in range(1, _MAX_SOLVER_STEPS + 1):

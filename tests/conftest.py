@@ -2,6 +2,7 @@ import contextlib
 import math
 import signal
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import strategies as st
@@ -46,6 +47,29 @@ def node_builds(monkeypatch):
         if name.startswith("quantshift.") and getattr(module, "gauss_legendre_nodes", None) is original:
             monkeypatch.setattr(module, "gauss_legendre_nodes", counted)
     return builds
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(fn)`` calls ``fn()`` and returns the peak of the memory it
+    allocated beyond what was live at the call, in bytes, as ``tracemalloc``
+    counts it.  numpy reports its array buffers there, so the count does not
+    depend on where the heap puts them, as resident memory does."""
+
+    def measure(fn) -> int:
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            live = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - live
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    return measure
 
 
 def threshold_classifiers(features):

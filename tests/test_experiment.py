@@ -470,6 +470,17 @@ class TestNodeBuilds:
         assert node_builds == []
 
 
+class TestSampleCellMemory:
+    def test_a_cell_holds_two_arrays_of_the_sample_size(self, traced_peak):
+        # EM's two arrays are freed before CDE-Iterate sorts a copy of the features
+        n = 200_000
+        setup = experiment.build_setup(qs.ExperimentConfig(sample_size=n, panels=("sample",)))
+        evaluator = experiment._evaluator(setup, "sample", 0, setup.test_conditionals.with_prevalence(0.3), 1)
+        tpr, fpr = qs.PopulationEvaluator(setup.train).rates_by_class(setup.min_error_classifier)
+        peak = traced_peak(lambda: experiment._estimates_for_cell(setup, evaluator, tpr, fpr))
+        assert peak <= 2.05 * 8 * n
+
+
 def _prevalence_tables(scenario: str, panel: str = "population", **fields) -> dict:
     config = qs.ExperimentConfig(scenario=scenario, panels=(panel,), outputs=("prevalence",), **fields)
     with deadline(5.0):

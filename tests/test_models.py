@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import quantshift as qs
-from quantshift.models import GridCdf, normal_cdf, normal_pdf
+from quantshift import models
+from quantshift.models import GridCdf, normal_cdf, normal_pdf, panel_edges
 from quantshift.numerics import gauss_legendre_nodes
 
 
@@ -126,6 +131,44 @@ class TestGridCdf:
         assert cdf(-20.0) == 0.0
         assert cdf(20.0) == 1.0
         assert cdf.total_mass == pytest.approx(1.0, abs=1e-12)
+
+
+def _union1d_edges(support, ratio):
+    """``panel_edges`` as ``np.union1d`` merged the window and band edges."""
+    lo, hi = support
+    edges = np.linspace(lo, hi, models._WINDOW_PANELS + 1)
+    a, b = sorted((log_r - ratio.log_offset) / ratio.log_slope for log_r in (-40.0, 40.0))
+    a, b = max(a, lo), min(b, hi)
+    return np.union1d(edges, np.linspace(a, b, models._BAND_PANELS + 1)) if a < b else edges
+
+
+class TestPanelEdges:
+    @pytest.mark.parametrize("sigma", [0.02, 0.05, 0.1, 0.2, 0.5, 1.0])
+    @pytest.mark.parametrize("kind", list(qs.ShiftKind))
+    def test_equal_the_union1d_edges(self, kind, sigma):
+        train = qs.binormal_population(qs.BinormalParams(sigma=sigma), 0.5)
+        test = qs.make_test_population(qs.ShiftScenario(kind, train, 0.5))
+        for model in (train, test):
+            edges = panel_edges(model.support, model.ratio)
+            assert edges.tobytes() == _union1d_edges(model.support, model.ratio).tobytes()
+
+    def test_derived_population_build_leaves_numpy_ma_unimported(self):
+        code = (
+            "import sys\n"
+            "from quantshift.experiment import ExperimentConfig, build_setup\n"
+            "build_setup(ExperimentConfig(scenario='invariant_ratio')).test_conditionals.nodes()\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(qs.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
 
 
 class TestValidation:

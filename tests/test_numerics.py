@@ -145,9 +145,10 @@ class TestPriorEquationSolver:
         assert root.steps <= 60
 
     def test_equal_weights_match_explicit_weights(self):
+        # the solve consumes its log R, so each call gets its own
         log_r = np.linspace(-3.0, 2.0, 101)
-        equal = solve_prior_equation(log_r, 1.0 / len(log_r))
-        explicit = solve_prior_equation(log_r, np.full(len(log_r), 1.0 / len(log_r)))
+        equal = solve_prior_equation(log_r.copy(), 1.0 / len(log_r))
+        explicit = solve_prior_equation(log_r.copy(), np.full(len(log_r), 1.0 / len(log_r)))
         assert equal.value == pytest.approx(explicit.value, abs=1e-14)
         assert equal.log_moment_r == pytest.approx(explicit.log_moment_r, abs=1e-14)
 
@@ -189,6 +190,13 @@ class TestPriorEquationSolver:
         root = solve_prior_equation(np.array([1000.0, -1000.0]), np.array([0.3, 0.7]))
         assert root.log_moment_r == pytest.approx(1000.0 + math.log(0.3), rel=1e-15)
         assert root.value == pytest.approx(0.3, abs=1e-15)
+
+    def test_c_is_left_in_the_given_array(self):
+        log_r = np.linspace(-3.0, 2.0, 101)
+        c = reciprocal_excess(log_r)
+        root = solve_prior_equation(log_r, 1.0 / len(log_r))
+        assert 0.0 < root.value < 1.0
+        assert np.array_equal(log_r, c)
 
     def test_terms_match_the_direct_form(self):
         log_r = np.linspace(-20.0, 20.0, 81)

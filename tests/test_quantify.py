@@ -120,6 +120,12 @@ class TestEmEstimate:
         assert est.value == pytest.approx(0.3500, abs=5e-4)
         assert abs(est.value - 0.3) > 0.005
 
+    def test_sample_solve_holds_two_arrays_of_its_size(self, train, traced_peak):
+        # log R and one scratch array: c takes log R's storage
+        n = 200_000
+        evaluator = qs.SampleEvaluator(qs.stratified_sample(train.with_prevalence(0.3), n, qs.RngStream(7, 1)))
+        assert traced_peak(lambda: qs.em_estimate(evaluator, train.ratio)) <= 2.05 * 8 * n
+
     def test_boundary_low(self, train):
         evaluator = fixed_sample_evaluator([8.0, 9.0, 10.0])  # E[R] << 1
         est = qs.em_estimate(evaluator, train.ratio)
