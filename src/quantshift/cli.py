@@ -34,7 +34,7 @@ from .experiment import (
 )
 from .numerics import NonFinite, NoSignChange, UnresolvedMeasure
 from .quantify import DegenerateClassifier
-from .sampling import EnvelopeViolation
+from .sampling import EnvelopeViolation, SamplingBudgetExceeded
 from .shift import NoInteriorSolution, ShiftKind
 
 _NUMERICAL_ERRORS = (
@@ -42,6 +42,7 @@ _NUMERICAL_ERRORS = (
     NonFinite,
     NoSignChange,
     EnvelopeViolation,
+    SamplingBudgetExceeded,
     DegenerateClassifier,
     UnresolvedMeasure,
 )

@@ -162,19 +162,19 @@ def reciprocal_excess(log_r: np.ndarray, out: np.ndarray | None = None) -> np.nd
 class PriorEquationRoot:
     """Outcome of :func:`solve_prior_equation`.
 
-    ``value`` is the root in (0, 1), or 0.0 when E_w[R] <= 1 and 1.0 when
-    E_w[1/R] <= 1.  ``log_moment_r`` and ``log_moment_inv`` are log E_w[R] and
-    log E_w[1/R]; ``steps`` counts the Newton and bisection steps.
+    ``value`` is the root q in (0, 1), or 0.0 when E_w[R] <= 1 and 1.0 when
+    E_w[1/R] <= 1, and ``complement`` is 1 - q; the smaller of the two keeps
+    its full relative precision.  ``log_moment_r`` and ``log_moment_inv`` are
+    log E_w[R] and log E_w[1/R]; ``steps`` counts the Newton and bisection steps.
     """
 
     value: float
+    complement: float
     log_moment_r: float
     log_moment_inv: float
     steps: int
 
 
-# Iterates stay in [_Q_FLOOR, 1 - _Q_FLOOR], where no term exceeds 1 / _Q_FLOOR.
-_Q_FLOOR = 1e-12
 _MAX_SOLVER_STEPS = 200
 
 
@@ -202,14 +202,17 @@ def solve_prior_equation(log_r, weights, tol: float = 1e-12) -> PriorEquationRoo
     and E_w[1/R] > 1.  Both moments are decided by a log-sum-exp of
     log R + log w, so neither R nor a weight has to be representable.
 
-    The terms are 1 / (c + q) with c from :func:`reciprocal_excess`, so no
-    step overflows.  Newton steps use f'(q) = -E_w[(1 / (c + q))^2]; a step
-    that leaves the bracket of the root, or is more than half as long as the
-    step before it, is replaced by bisection.  The solve stops once a step is
-    at most ``tol``.  ``log_r`` is consumed: c is computed in its storage
-    when it is a float64 array, so that the solve holds one scratch array of
-    its length beside it.  Weights that sum to zero raise
-    :class:`UnresolvedMeasure`.
+    The solve carries the smaller weight x = min(q, 1 - q), with no floor:
+    where E_w[tanh(log R / 2)], half the value at q = 1/2, is positive, the
+    root lies above 1/2 and ``log_r`` is negated, as 1 - q solves the
+    equation on 1/R.  The terms 1 / (c + x), with c from
+    :func:`reciprocal_excess` and x in (0, 1/2], neither overflow nor cancel.
+    Newton steps use f'(x) = -E_w[(1 / (c + x))^2], summed as (x / (c + x))^2
+    in [0, 1].  A step that leaves the bracket, or is more than half as long
+    as the one before, gives way to a bisection of log x (squaring the top
+    while no point below the root is known), and the solve stops once a step
+    is at most ``tol`` times x.  ``log_r`` is consumed: c is computed in its
+    storage beside one scratch array.  Zero total weight raises :class:`UnresolvedMeasure`.
     """
     log_r = np.asarray(log_r, dtype=float)
     with np.errstate(divide="ignore"):
@@ -226,34 +229,37 @@ def solve_prior_equation(log_r, weights, tol: float = 1e-12) -> PriorEquationRoo
     np.subtract(log_w, log_r, out=g)
     log_moment_inv = _log_sum_exp(g) - log_total
     if not log_moment_r > 0.0:
-        return PriorEquationRoot(0.0, log_moment_r, log_moment_inv, 0)
+        return PriorEquationRoot(0.0, 1.0, log_moment_r, log_moment_inv, 0)
     if not log_moment_inv > 0.0:
-        return PriorEquationRoot(1.0, log_moment_r, log_moment_inv, 0)
+        return PriorEquationRoot(1.0, 0.0, log_moment_r, log_moment_inv, 0)
 
+    upper = _weighted_sum(np.tanh(np.multiply(log_r, 0.5, out=g), out=g), weights) > 0.0
+    if upper:
+        np.negative(log_r, out=log_r)
     c = reciprocal_excess(log_r, out=log_r)
-    lo, hi = _Q_FLOOR, 1.0 - _Q_FLOOR
-    q, last_step = 0.5, hi - lo
+    lo, hi, x, last_step = 0.0, 0.5, 0.5, math.inf
     for steps in range(1, _MAX_SOLVER_STEPS + 1):
-        np.add(c, q, out=g)
-        np.divide(1.0, g, out=g)
+        np.add(c, x, out=g)
+        np.divide(x, g, out=g)
         value = _weighted_sum(g, weights)
-        if value == 0.0:
-            break
         if value > 0.0:
-            lo = q
+            lo = x
         else:
-            hi = q
+            hi = x
         np.multiply(g, g, out=g)
-        step = value / _weighted_sum(g, weights)
-        # a step within tol is taken as it is: q + step may round to q, the
+        slope = _weighted_sum(g, weights)
+        # where every (x g)^2 underflows, the infinite step bisects
+        step = x * (value / slope) if slope else math.inf
+        # a step within tol is taken as it is: x + step may round to x, the
         # end of the bracket
-        if abs(step) > tol and (not lo < q + step < hi or abs(step) > 0.5 * abs(last_step)):
-            step = 0.5 * (lo + hi) - q
-        q += step
-        last_step = step
-        if abs(step) <= tol:
+        nxt = x + step
+        if abs(step) > tol * x and (not lo < nxt < hi or abs(step) > 0.5 * abs(last_step)):
+            nxt = math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 else max(hi * hi, math.ulp(0.0))
+        x, last_step = nxt, nxt - x
+        if abs(last_step) <= tol * x:
             break
-    return PriorEquationRoot(q, log_moment_r, log_moment_inv, steps)
+    value, complement = (1.0 - x, x) if upper else (x, 1.0 - x)
+    return PriorEquationRoot(value, complement, log_moment_r, log_moment_inv, steps)
 
 
 _MASK64 = (1 << 64) - 1

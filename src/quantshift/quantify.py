@@ -200,7 +200,7 @@ def em_estimate(evaluator: TestEvaluator, ratio: DensityRatio) -> PrevalenceEsti
     root = solve_prior_equation(ratio.log(points), weights, 1e-10)
     if root.value == 0.0:
         status = EstimateStatus.BOUNDARY_LOW
-    elif root.value == 1.0:
+    elif root.complement == 0.0:
         status = EstimateStatus.BOUNDARY_HIGH
     else:
         status = EstimateStatus.CONVERGED

@@ -18,10 +18,15 @@ from .models import Density, NormalSampler, PopulationModel
 from .numerics import _BLOCK_PAIRS, RngStream, _box_muller
 
 _ENVELOPE_SLACK = 1.0 + 1e-9  # tolerated float rounding in the envelope test
+_MAX_EXPECTED_PROPOSALS = 1e12  # most proposals a draw may expect: about a day at 10 M/s
 
 
 class EnvelopeViolation(RuntimeError):
     """A proposal had target density above M * candidate density."""
+
+
+class SamplingBudgetExceeded(RuntimeError):
+    """``n`` draws at envelope constant M would expect n M > ``_MAX_EXPECTED_PROPOSALS`` proposals."""
 
 
 @dataclass(frozen=True)
@@ -106,6 +111,9 @@ class RejectionSampler:
     envelope_constant: float
 
     def draw(self, stream: RngStream, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        expected = n * self.envelope_constant
+        if expected > _MAX_EXPECTED_PROPOSALS:
+            raise SamplingBudgetExceeded(f"{n} accept-reject draws expect {expected:.3g} proposals")
         out = np.empty(n) if out is None else out
         blocks = isinstance(self.candidate_sampler, NormalSampler)
         filled = 0

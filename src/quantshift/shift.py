@@ -81,7 +81,7 @@ def decompose_mixture(
     h_star: Density,
     ratio: DensityRatio,
     support: tuple[float, float],
-) -> tuple[float, Density, Density]:
+) -> tuple[float, float, Density, Density]:
     """Split ``h_star`` into q* h0 + (1-q*) h1 with h0/h1 equal to ``ratio``.
 
     The weight q* is the unique root in (0, 1) of
@@ -91,8 +91,9 @@ def decompose_mixture(
     which exists iff both E[R] > 1 and E[1/R] > 1 under h*.  The integral is
     a sum over ``node_masses(support, ratio, h_star)``, the node measure of a
     population on that support, and :func:`~quantshift.numerics.solve_prior_equation`
-    finds the root.  The component densities are h0 = R h* / (1 + q*(R - 1))
-    and h1 = h* / (1 + q*(R - 1)), evaluated from log R so that they stay
+    finds the root.  It returns q*, 1 - q* (the smaller to full relative
+    precision), h0 = h* / (q* (1 + e^-z)) and h1 = h* / ((1 - q*) (1 + e^z)),
+    where z = log R + log(q* / (1 - q*)) is the posterior log-odds; both stay
     finite where R overflows.
 
     Raises:
@@ -112,19 +113,18 @@ def decompose_mixture(
             "the mixture has no class-1 component",
             failed_moment="E[1/R]",
         )
-    q_star = root.value
-    log_q, log_1mq = math.log(q_star), math.log1p(-q_star)
+    q_star, q_complement = root.value, root.complement
+    log_odds = math.log(q_star) - math.log(q_complement)
 
-    # log(1 + q*(R - 1)) = logaddexp(log(1 - q*), log q* + log R) stays finite
-    # where R overflows
     def h0(x):
-        log_r = ratio.log(x)
-        return h_star(x) * np.exp(log_r - np.logaddexp(log_1mq, log_q + log_r))
+        with np.errstate(over="ignore"):
+            return h_star(x) / (q_star * (1.0 + np.exp(-log_odds - ratio.log(x))))
 
     def h1(x):
-        return h_star(x) * np.exp(-np.logaddexp(log_1mq, log_q + ratio.log(x)))
+        with np.errstate(over="ignore"):
+            return h_star(x) / (q_complement * (1.0 + np.exp(ratio.log(x) + log_odds)))
 
-    return q_star, h0, h1
+    return q_star, q_complement, h0, h1
 
 
 def make_test_population(scenario: ShiftScenario) -> PopulationModel:
@@ -135,7 +135,8 @@ def make_test_population(scenario: ShiftScenario) -> PopulationModel:
     from the envelope decomposition and is the same for every test prevalence;
     their CDF tables sum the population's node masses, built here, and their
     samplers accept-reject with the exact envelope constants 1/q* (class 0)
-    and 1/(1-q*) (class 1).
+    and 1/(1-q*) (class 1), each from the weight the decomposition returns,
+    so the smaller weight's constant keeps full relative precision.
 
     Raises:
         NoInteriorSolution: if the envelope admits no interior mixture weight.
@@ -155,7 +156,7 @@ def make_test_population(scenario: ShiftScenario) -> PopulationModel:
 
     pad = TRUNCATION_HALFWIDTH * sd
     support = (mean - pad, mean + pad)
-    q_star, h0, h1 = decompose_mixture(h_star, ratio, support)
+    q_star, q_complement, h0, h1 = decompose_mixture(h_star, ratio, support)
 
     nodes = cache(partial(node_masses, support, ratio, h0, h1))
     edges, (_, mass0, mass1) = panel_edges(support, ratio), nodes()
@@ -176,7 +177,7 @@ def make_test_population(scenario: ShiftScenario) -> PopulationModel:
         support=support,
         ratio=ratio,
         sampler0=RejectionSampler(h0, proposal, h_star, 1.0 / q_star),
-        sampler1=RejectionSampler(h1, proposal, h_star, 1.0 / (1.0 - q_star)),
+        sampler1=RejectionSampler(h1, proposal, h_star, 1.0 / q_complement),
         nodes=nodes,
     )
 

@@ -89,6 +89,23 @@ def train():
 
 
 @pytest.fixture(scope="session")
+def oracle_weights():
+    """(q*, 1 - q*) from :func:`oracle.mixture_weight` for the default
+    envelope against the invariant and square-root ratios, and for the narrow
+    envelope (theta = 3.5, tau = 0.5) against the sigma = 0.3 ratio, whose
+    q* lies 3.3e-16 from 0.  Seeds are logit q* to three decimals."""
+    import oracle
+
+    ratio = qs.binormal_density_ratio(qs.BinormalParams())
+    edge = qs.binormal_density_ratio(qs.BinormalParams(sigma=0.3))
+    return {
+        "invariant_ratio": oracle.mixture_weight(0.5, 1.4, ratio.log_slope, ratio.log_offset, 0.964),
+        "sqrt_ratio": oracle.mixture_weight(0.5, 1.4, 0.5 * ratio.log_slope, 0.5 * ratio.log_offset, 1.485),
+        "edge": oracle.mixture_weight(3.5, 0.5, edge.log_slope, edge.log_offset, -35.641),
+    }
+
+
+@pytest.fixture(scope="session")
 def invariant_test(train):
     """Test conditionals for the invariant-density-ratio scenario (any prevalence)."""
     scenario = qs.ShiftScenario(qs.ShiftKind.INVARIANT_RATIO, train, 0.5)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import quantshift as qs
-from quantshift import cli, experiment, reference
+from quantshift import cli, experiment, models, reference
 from quantshift.cli import main
 from quantshift.experiment import (
     DEFAULT_GRID,
@@ -374,8 +374,10 @@ class TestCli:
         )
         assert main(["run", str(config_path), "--outdir", str(tmp_path / "out")]) == 2
 
-    def test_unresolved_measure_exit_code(self, tmp_path, capsys):
-        # q* lies 1.6e-12 from 0, and the class-0 CDF mass is 0.0716
+    def test_unresolved_measure_exit_code(self, tmp_path, capsys, monkeypatch):
+        # on two window and two band panels both CDF masses lie 1.4e-7 from 1
+        monkeypatch.setattr(models, "_WINDOW_PANELS", 2)
+        monkeypatch.setattr(models, "_BAND_PANELS", 2)
         config_path = tmp_path / "exp.cfg"
         config_path.write_text(
             "scenario = invariant_ratio\nsigma = 0.3\ntheta = 3.5\ntau = 0.5\npanels = population\n"
@@ -517,6 +519,22 @@ class TestBoundedTime:
         # scalar step of about M Python-level proposals
         table = _prevalence_tables("invariant_ratio", panel="sample", envelope_mean=2.9, sample_size=500)["prevalence"]
         assert _all_finite(table)
+
+    @pytest.mark.parametrize("panel, code", [("both", 2), ("population", 0)])
+    @pytest.mark.parametrize("theta", [3.5, -1.5])
+    def test_invariant_ratio_edge_envelope(self, tmp_path, capsys, theta, panel, code):
+        # one test conditional has M = 1/3.3e-16 = 3e15: its sample draws would
+        # take about 3e15 proposals each, so the sample panel refuses them
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(f"scenario = invariant_ratio\nsigma = 0.3\ntheta = {theta}\ntau = 0.5\n")
+        with deadline(5.0):
+            assert main(["run", str(config_path), "--outdir", str(tmp_path), "--panel", panel]) == code
+        if code:
+            assert "accept-reject draws expect" in capsys.readouterr().err
+        else:
+            tables = tables_from_json((tmp_path / "invariant_ratio_results.json").read_text())
+            (prevalence,) = [t for t in tables if t.metric == "prevalence"]
+            assert max(abs(v - q) for v, q in zip(prevalence.row("EM"), DEFAULT_GRID)) <= 1e-9
 
     @pytest.mark.parametrize("scenario", ["invariant_ratio", "sqrt_ratio"])
     def test_derived_scenarios_at_sigma_one_twentieth(self, scenario):

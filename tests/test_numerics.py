@@ -144,6 +144,40 @@ class TestPriorEquationSolver:
         assert abs(root.value - expected) <= 1e-12
         assert root.steps <= 60
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(-30.0, 30.0), st.floats(1e-3, 1.0)), min_size=2, max_size=40
+        )
+    )
+    def test_negated_log_ratio_swaps_value_and_complement(self, pairs):
+        log_r = np.array([lr for lr, _ in pairs])
+        weights = np.array([w for _, w in pairs])
+        # at an exact tie the root is 1/2 and neither solve negates its log R
+        assume(float(np.dot(np.tanh(0.5 * log_r), weights)) != 0.0)
+        root = solve_prior_equation(log_r.copy(), weights)
+        # where R = 1 up to rounding neither moment exceeds 1, and both solves
+        # report the low boundary
+        assume(root.log_moment_r > 0.0 or root.log_moment_inv > 0.0)
+        mirror = solve_prior_equation(-log_r, weights)
+        assert (mirror.value, mirror.complement) == (root.complement, root.value)
+        assert (mirror.log_moment_r, mirror.log_moment_inv) == (root.log_moment_inv, root.log_moment_r)
+
+    @pytest.mark.parametrize("weight", [1e-20, 1e-170, 1e-300])
+    def test_roots_far_below_any_floor(self, weight):
+        # log R = 1000 carries ``weight`` and log R = -1 the rest: the root is
+        # weight / (1 - e^-1) (to 1e-300 relative), where (1 / (c + q))^2
+        # overflows below q = 1e-154; RuntimeWarnings are errors in this suite
+        log_r = np.array([1000.0, -1.0])
+        weights = np.array([weight, 1.0])
+        expected = weight / -math.expm1(-1.0)
+        root = solve_prior_equation(log_r.copy(), weights)
+        assert root.value == pytest.approx(expected, rel=1e-14, abs=0.0)
+        assert root.complement == 1.0
+        assert root.steps <= 30
+        mirror = solve_prior_equation(-log_r, weights)
+        assert (mirror.value, mirror.complement) == (root.complement, root.value)
+
     def test_equal_weights_match_explicit_weights(self):
         # the solve consumes its log R, so each call gets its own
         log_r = np.linspace(-3.0, 2.0, 101)

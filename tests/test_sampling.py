@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import quantshift as qs
 from quantshift.models import NormalSampler, normal_pdf
 from quantshift.numerics import _BLOCK_PAIRS
-from quantshift.sampling import RejectionSampler, rejection_draw
+from quantshift.sampling import RejectionSampler, SamplingBudgetExceeded, rejection_draw
 from conftest import deadline
 from test_numerics import _GOLDEN, _MASK64, _stream, _unmix64
 
@@ -131,6 +131,30 @@ class TestAcceptReject:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             RejectionSampler(lambda x: x, lambda s: 0.0, lambda x: x, 1.0).draw(qs.RngStream(1, 0), -1)
+
+    @pytest.mark.parametrize("block", [True, False])
+    def test_proposal_budget_raises_before_drawing(self, block):
+        # 101 draws at M = 1e10 expect 1.01e12 proposals, over the 1e12 bound
+        density = lambda x: normal_pdf(x, 0.0, 1.0)
+        sampler = RejectionSampler(density, NormalSampler(0.0, 1.0), density, 1e10)
+        if not block:
+            sampler = _scalar_twin(sampler)
+        stream = qs.RngStream(1, 0)
+        stream.next_uniform()
+        with pytest.raises(SamplingBudgetExceeded, match="101 accept-reject draws expect 1.01e\\+12 proposals"):
+            sampler.draw(stream, 101)
+        assert stream.words_drawn == 1
+
+    def test_proposal_budget_admits_edge_cells(self, train):
+        # the class-0 conditional at theta = 2.95 has M = 5.06e4, and a cell of
+        # the default 10,000 draws expects up to 5e8 proposals: the bound lets
+        # it draw.  A target of M times the candidate accepts every proposal.
+        scenario = qs.ShiftScenario(qs.ShiftKind.INVARIANT_RATIO, train, 0.5, envelope_mean=2.95)
+        sampler = qs.make_test_population(scenario).sampler0
+        assert sampler.envelope_constant == pytest.approx(5.06e4, rel=1e-3)
+        m, density = sampler.envelope_constant, sampler.candidate_density
+        draws = replace(sampler, target=lambda x: m * density(x)).draw(qs.RngStream(1, 0), 10_000)
+        assert np.all(np.isfinite(draws))
 
 
 def _scalar_twin(sampler: RejectionSampler) -> RejectionSampler:

@@ -16,33 +16,40 @@ def envelope_window(invariant_test):
     return invariant_test.support
 
 
+def _edge_scenario(theta: float) -> qs.ShiftScenario:
+    """Invariant ratio at sigma = 0.3 under a narrow envelope (tau = 0.5) at ``theta``."""
+    train = qs.binormal_population(qs.BinormalParams(sigma=0.3), 0.5)
+    return qs.ShiftScenario(qs.ShiftKind.INVARIANT_RATIO, train, 0.5, envelope_mean=theta, envelope_sd=0.5)
+
+
 class TestDecomposeMixture:
     def test_reference_weight_binormal_ratio(self, train, envelope_window):
-        q_star, _, _ = qs.decompose_mixture(default_envelope, train.ratio, envelope_window)
+        q_star, _, _, _ = qs.decompose_mixture(default_envelope, train.ratio, envelope_window)
         assert q_star == pytest.approx(0.7239184, abs=5e-7)
 
     def test_reference_weight_sqrt_ratio(self, train, envelope_window):
-        q_star, _, _ = qs.decompose_mixture(default_envelope, train.ratio.sqrt(), envelope_window)
+        q_star, _, _, _ = qs.decompose_mixture(default_envelope, train.ratio.sqrt(), envelope_window)
         assert q_star == pytest.approx(0.8152434, abs=5e-7)
 
     def test_explicit_mixture_recovers_weight(self, train):
         # decomposing 0.3 f0 + 0.7 f1 against R = f0/f1 must give back the pieces
         mixture = lambda x: 0.3 * train.f0(x) + 0.7 * train.f1(x)
-        q_star, h0, h1 = qs.decompose_mixture(mixture, train.ratio, train.support)
+        q_star, q_complement, h0, h1 = qs.decompose_mixture(mixture, train.ratio, train.support)
         assert q_star == pytest.approx(0.3, abs=1e-8)
+        assert q_complement == 1.0 - q_star
         grid = np.linspace(-4.0, 6.0, 200)
         assert np.allclose(h0(grid), train.f0(grid), rtol=1e-8, atol=1e-12)
         assert np.allclose(h1(grid), train.f1(grid), rtol=1e-8, atol=1e-12)
 
     def test_mixture_identity(self, train, envelope_window):
-        q_star, h0, h1 = qs.decompose_mixture(default_envelope, train.ratio, envelope_window)
+        q_star, _, h0, h1 = qs.decompose_mixture(default_envelope, train.ratio, envelope_window)
         grid = np.linspace(-6.0, 8.0, 1000)
         recombined = q_star * h0(grid) + (1.0 - q_star) * h1(grid)
         assert np.max(np.abs(recombined - default_envelope(grid))) < 1e-10
 
     def test_ratio_identity(self, train, envelope_window):
         for ratio in (train.ratio, train.ratio.sqrt()):
-            _, h0, h1 = qs.decompose_mixture(default_envelope, ratio, envelope_window)
+            _, _, h0, h1 = qs.decompose_mixture(default_envelope, ratio, envelope_window)
             grid = np.linspace(-6.0, 8.0, 1000)
             d1 = h1(grid)
             mask = d1 > 1e-12
@@ -50,7 +57,7 @@ class TestDecomposeMixture:
             assert np.max(rel) < 1e-8
 
     def test_components_normalize(self, train, envelope_window):
-        _, h0, h1 = qs.decompose_mixture(default_envelope, train.ratio, envelope_window)
+        _, _, h0, h1 = qs.decompose_mixture(default_envelope, train.ratio, envelope_window)
         for density in (h0, h1):
             total = qs.integrate_interval(density, *envelope_window)
             assert total == pytest.approx(1.0, abs=1e-6)
@@ -80,6 +87,35 @@ class TestDecomposeMixture:
         with pytest.raises(qs.NoInteriorSolution) as info:
             qs.decompose_mixture(envelope, train.ratio, (0.0, 14.0))
         assert info.value.failed_moment == "E[R]"
+
+
+class TestMixtureWeightOracle:
+    """q* and 1 - q* of the decomposition against the mpmath oracle of
+    ``tests/oracle.py`` (the ``oracle_weights`` fixture)."""
+
+    @pytest.mark.parametrize("kind, expected", [("invariant_ratio", 0.72391835522181928), ("sqrt_ratio", 0.81524340305518786)])
+    def test_default_weights(self, train, envelope_window, oracle_weights, kind, expected):
+        oracle_q, oracle_complement = oracle_weights[kind]
+        assert oracle_q == pytest.approx(expected, rel=1e-15, abs=0.0)
+        ratio = train.ratio.sqrt() if kind == "sqrt_ratio" else train.ratio
+        q_star, q_complement, _, _ = qs.decompose_mixture(default_envelope, ratio, envelope_window)
+        assert q_star == pytest.approx(oracle_q, rel=1e-15, abs=0.0)
+        assert q_complement == pytest.approx(oracle_complement, rel=1e-15, abs=0.0)
+
+    # the two envelopes are mirror images about x = 1, where log R = 0, so
+    # theta = -1.5 swaps q* and 1 - q*
+    @pytest.mark.parametrize("theta", [3.5, -1.5])
+    def test_edge_weights(self, oracle_weights, theta):
+        small, _ = oracle_weights["edge"]
+        assert small == pytest.approx(3.3202115878251154e-16, rel=1e-13, abs=0.0)
+        scenario = _edge_scenario(theta)
+        test = qs.make_test_population(scenario)
+        envelope = lambda x: normal_pdf(x, theta, 0.5)
+        q_star, q_complement, _, _ = qs.decompose_mixture(envelope, scenario.train.ratio, test.support)
+        assert (q_star if theta > 1.0 else q_complement) == pytest.approx(small, rel=1e-13, abs=0.0)
+        # the sampler's constant comes from the small weight itself, not 1 - q* rounded
+        sampler = test.sampler0 if theta > 1.0 else test.sampler1
+        assert 1.0 / sampler.envelope_constant == pytest.approx(small, rel=1e-13, abs=0.0)
 
 
 class TestMakeTestPopulation:
@@ -136,14 +172,20 @@ class TestMakeTestPopulation:
             assert by_string.cdf0.total_mass == by_enum.cdf0.total_mass
             assert by_string.cdf1.total_mass == by_enum.cdf1.total_mass
 
-    # q* lies 1.6e-12 from 0 (theta = 3.5) or from 1 (theta = -1.5), and one
-    # CDF mass is 0.0716
+    # q* lies 3.3e-16 from 0 (theta = 3.5) or from 1 (theta = -1.5)
     @pytest.mark.parametrize("theta", [3.5, -1.5])
-    def test_unresolved_measure_raises(self, theta):
-        train = qs.binormal_population(qs.BinormalParams(sigma=0.3), 0.5)
-        scenario = qs.ShiftScenario(qs.ShiftKind.INVARIANT_RATIO, train, 0.5, envelope_mean=theta, envelope_sd=0.5)
+    def test_edge_envelope_builds(self, theta):
+        test = qs.make_test_population(_edge_scenario(theta))
+        for cdf in (test.cdf0, test.cdf1):
+            assert abs(cdf.total_mass - 1.0) <= 1e-9
+
+    # on two window and two band panels both masses lie 1.4e-7 from 1
+    @pytest.mark.parametrize("theta", [3.5, -1.5])
+    def test_unresolved_measure_raises(self, theta, monkeypatch):
+        monkeypatch.setattr(models, "_WINDOW_PANELS", 2)
+        monkeypatch.setattr(models, "_BAND_PANELS", 2)
         with pytest.raises(qs.UnresolvedMeasure, match="test conditionals have masses"):
-            qs.make_test_population(scenario)
+            qs.make_test_population(_edge_scenario(theta))
 
     # |mass - 1| stays below 5e-16 here
     @pytest.mark.parametrize("kind,sigma", [(qs.ShiftKind.INVARIANT_RATIO, 0.3), (qs.ShiftKind.SQRT_RATIO, 0.2)])
@@ -161,7 +203,7 @@ def _derived_run(kind: qs.ShiftKind, sigma: float) -> dict:
     scenario = qs.ShiftScenario(kind, train, 0.5)
     ratio = train.ratio.sqrt() if kind is qs.ShiftKind.SQRT_RATIO else train.ratio
     test = qs.make_test_population(scenario)
-    q_star, _, _ = qs.decompose_mixture(default_envelope, ratio, test.support)
+    q_star, _, _, _ = qs.decompose_mixture(default_envelope, ratio, test.support)
     config = qs.ExperimentConfig(scenario=kind, sigma=sigma, panels=("population",), outputs=("prevalence",))
     (table,) = qs.run_experiment(config)
     return {
