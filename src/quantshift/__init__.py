@@ -15,8 +15,8 @@ from .classify import (
     cost_weighted_error,
     weighted_bayes_classifier,
 )
+from .errors import ConfigError, NumericalFailure, QuantshiftError
 from .experiment import (
-    ConfigError,
     ExperimentConfig,
     ResultTable,
     emit_table,
@@ -58,6 +58,7 @@ from .quantify import (
 from .sampling import (
     EnvelopeViolation,
     LabeledDataset,
+    SamplingBudgetExceeded,
     stratified_sample,
 )
 from .shift import (
@@ -89,12 +90,15 @@ __all__ = [
     "NoInteriorSolution",
     "NoSignChange",
     "NonFinite",
+    "NumericalFailure",
     "PopulationEvaluator",
     "PopulationModel",
     "PrevalenceEstimate",
+    "QuantshiftError",
     "ResultTable",
     "RngStream",
     "SampleEvaluator",
+    "SamplingBudgetExceeded",
     "ShiftKind",
     "ShiftScenario",
     "ThresholdClassifier",

@@ -7,8 +7,8 @@ Subcommands:
   verify  recompute the population panels and check every cell against the
           embedded reference tables (``reference.check``)
 
-Exit codes: 0 on success, 1 for configuration errors, 2 for numerical
-failures or verification mismatches.
+Exit codes: 0 on success, 2 on a verification mismatch, and otherwise the
+``exit_code`` of the error: 1 for configuration errors, 2 for numerical failures.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import reference
+from .errors import ConfigError, QuantshiftError
 from .experiment import (
     PANELS,
-    ConfigError,
     ExperimentConfig,
     ResultTable,
     build_setup,
@@ -32,20 +32,7 @@ from .experiment import (
     tables_from_json,
     tables_to_json,
 )
-from .numerics import NonFinite, NoSignChange, UnresolvedMeasure
-from .quantify import DegenerateClassifier
-from .sampling import EnvelopeViolation, SamplingBudgetExceeded
-from .shift import NoInteriorSolution, ShiftKind
-
-_NUMERICAL_ERRORS = (
-    NoInteriorSolution,
-    NonFinite,
-    NoSignChange,
-    EnvelopeViolation,
-    SamplingBudgetExceeded,
-    DegenerateClassifier,
-    UnresolvedMeasure,
-)
+from .shift import ShiftKind
 
 
 def _benchmark_configs(**overrides) -> list[ExperimentConfig]:
@@ -165,12 +152,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
+    except QuantshiftError as exc:
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

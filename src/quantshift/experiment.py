@@ -20,6 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .classify import ThresholdClassifier, adapt_threshold, bayes_classifier
+from .errors import ConfigError
 from .metrics import accuracy, f_measure, relative_error
 from .models import BinormalParams, PopulationModel, binormal_density_ratio, binormal_population
 from .numerics import RngStream
@@ -48,10 +49,6 @@ _MAX_REPETITIONS = _SCENARIO_STRIDE // _REPETITION_STRIDE
 
 _DENSITY_GRID_RANGE = (-6.0, 8.0)
 _DENSITY_GRID_POINTS = 1001
-
-
-class ConfigError(ValueError):
-    """An experiment configuration field is missing, malformed, or invalid."""
 
 
 @dataclass(frozen=True)

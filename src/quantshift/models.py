@@ -15,6 +15,7 @@ from typing import Callable, Protocol
 
 import numpy as np
 
+from .errors import NumericalFailure
 from .numerics import _GL_NODES, _GL_WEIGHTS, RngStream, gauss_legendre_nodes
 
 Density = Callable[[np.ndarray], np.ndarray]
@@ -30,7 +31,7 @@ _WINDOW_PANELS = 128
 _BAND_PANELS = 128
 
 
-class InvalidThreshold(ValueError):
+class InvalidThreshold(NumericalFailure, ValueError):
     """Density-ratio thresholds must be strictly positive."""
 
 

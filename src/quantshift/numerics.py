@@ -21,16 +21,18 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .errors import NumericalFailure
 
-class NoSignChange(ValueError):
+
+class NoSignChange(NumericalFailure, ValueError):
     """The supplied bracket does not enclose a sign change."""
 
 
-class NonFinite(ArithmeticError):
+class NonFinite(NumericalFailure, ArithmeticError):
     """An integrand returned a non-finite value inside the integration range."""
 
 
-class UnresolvedMeasure(ArithmeticError):
+class UnresolvedMeasure(NumericalFailure, ArithmeticError):
     """A node measure does not resolve its density: its nodes carry no mass,
     or a CDF table built on them does not integrate to 1."""
 

@@ -1,8 +1,8 @@
 """Prevalence estimators: Classify & Count / CDE-Iterate, Adjusted Classify &
 Count, and the EM (maximum likelihood) estimator.
 
-Each estimator runs against a :class:`TestEvaluator`, which answers
-questions about the test distribution: the rate of class-0 decisions of a
+Each estimator runs against an evaluator of the test distribution, which
+answers two questions about it: the rate of class-0 decisions of a
 classifier, and the feature distribution as a weighted point set (its
 ``measure``), over which expectations are sums.  Decision sets are
 half-lines, so on both backends a rate is a CDF evaluated at the cut.  A
@@ -18,11 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Protocol, runtime_checkable
+from typing import Callable
 
 import numpy as np
 
 from .classify import ThresholdClassifier, weighted_bayes_classifier
+from .errors import NumericalFailure
 from .models import DensityRatio, PopulationModel
 from .numerics import solve_prior_equation
 from .sampling import LabeledDataset
@@ -30,12 +31,8 @@ from .sampling import LabeledDataset
 _DEGENERATE_RATE_GAP = 1e-12
 
 
-class DegenerateClassifier(ValueError):
+class DegenerateClassifier(NumericalFailure, ValueError):
     """The classifier's training rates coincide, so no adjustment is possible."""
-
-
-class LabelsHidden(RuntimeError):
-    """A label-dependent query was made on a label-blind evaluator."""
 
 
 class EstimateStatus(str, Enum):
@@ -54,15 +51,6 @@ class PrevalenceEstimate:
     value: float
     status: EstimateStatus
     trace: tuple[float, ...] | None = None
-
-
-@runtime_checkable
-class TestEvaluator(Protocol):
-    def predict_positive_rate(self, clf: ThresholdClassifier) -> float: ...
-
-    def measure(self) -> tuple[np.ndarray, np.ndarray | float]: ...
-
-    def expect(self, fn: Callable) -> float: ...
 
 
 class PopulationEvaluator:
@@ -111,14 +99,11 @@ class SampleEvaluator:
     ``expect``) reads features only; its sorted copy is built on first use
     without the labels.  Label-dependent queries (``rates_by_class``,
     ``prevalence0``, used by evaluation metrics) count in per-class sorted
-    features, built from the labels on the first such query; they raise
-    :class:`LabelsHidden` when the evaluator was built with
-    ``labels_hidden=True``.
+    features, built from the labels on the first such query.
     """
 
-    def __init__(self, dataset: LabeledDataset, labels_hidden: bool = False):
+    def __init__(self, dataset: LabeledDataset):
         self.dataset = dataset
-        self.labels_hidden = labels_hidden
         self._features = np.asarray(dataset.features, dtype=float)
         self._sorted: np.ndarray | None = None
         self._sorted_by_class: tuple[np.ndarray, np.ndarray] | None = None
@@ -137,8 +122,6 @@ class SampleEvaluator:
 
     def _class_features(self) -> tuple[np.ndarray, np.ndarray]:
         """The class-0 and class-1 features, each in ascending order."""
-        if self.labels_hidden:
-            raise LabelsHidden("evaluator was built with labels_hidden=True")
         if self._sorted_by_class is None:
             labels = np.asarray(self.dataset.labels)
             by_class = []
@@ -165,7 +148,7 @@ def training_rates(train: PopulationModel, clf: ThresholdClassifier) -> tuple[fl
 
 
 def acc_estimate(
-    evaluator: TestEvaluator, clf: ThresholdClassifier, tpr: float, fpr: float
+    evaluator: PopulationEvaluator | SampleEvaluator, clf: ThresholdClassifier, tpr: float, fpr: float
 ) -> PrevalenceEstimate:
     """Adjusted Classify & Count: (Q[g=0] - fpr) / (tpr - fpr).
 
@@ -184,7 +167,7 @@ def acc_estimate(
     return PrevalenceEstimate(value, status)
 
 
-def em_estimate(evaluator: TestEvaluator, ratio: DensityRatio) -> PrevalenceEstimate:
+def em_estimate(evaluator: PopulationEvaluator | SampleEvaluator, ratio: DensityRatio) -> PrevalenceEstimate:
     """Maximum-likelihood prevalence under prior probability shift.
 
     The estimate is the unique root q in (0, 1) of
@@ -209,7 +192,7 @@ def em_estimate(evaluator: TestEvaluator, ratio: DensityRatio) -> PrevalenceEsti
 
 def cde_iterate(
     train: PopulationModel,
-    evaluator: TestEvaluator,
+    evaluator: PopulationEvaluator | SampleEvaluator,
     max_iter: int = 1000,
     tol: float = 1e-8,
 ) -> PrevalenceEstimate:
@@ -241,7 +224,9 @@ def cde_iterate(
     return PrevalenceEstimate(trace[-1], status, tuple(trace))
 
 
-def fixed_point_residual(train: PopulationModel, evaluator: TestEvaluator, q: float) -> float:
+def fixed_point_residual(
+    train: PopulationModel, evaluator: PopulationEvaluator | SampleEvaluator, q: float
+) -> float:
     """Q[R(X) > (1-q)/q] - q, the defect of q as a CDE-Iterate fixed point.
 
     Ties {R = (1-q)/q} have probability zero for the continuous models in

@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import NumericalFailure
 from .models import Density, NormalSampler, PopulationModel
 from .numerics import _BLOCK_PAIRS, RngStream, _box_muller
 
@@ -21,11 +22,11 @@ _ENVELOPE_SLACK = 1.0 + 1e-9  # tolerated float rounding in the envelope test
 _MAX_EXPECTED_PROPOSALS = 1e12  # most proposals a draw may expect: about a day at 10 M/s
 
 
-class EnvelopeViolation(RuntimeError):
+class EnvelopeViolation(NumericalFailure, RuntimeError):
     """A proposal had target density above M * candidate density."""
 
 
-class SamplingBudgetExceeded(RuntimeError):
+class SamplingBudgetExceeded(NumericalFailure, RuntimeError):
     """``n`` draws at envelope constant M would expect n M > ``_MAX_EXPECTED_PROPOSALS`` proposals."""
 
 
@@ -53,10 +54,13 @@ def stratified_sample(pop: PopulationModel, n: int, stream: RngStream) -> Labele
     """Draw n instances with exactly round(n * prevalence0) class-0 labels.
 
     Class-0 features are drawn first, then class-1, from the same stream, so
-    the dataset is a pure function of (pop, n, stream identity).
+    the dataset is a pure function of (pop, n, stream identity).  Above
+    ``_MAX_EXPECTED_PROPOSALS`` draws it raises before it allocates or draws.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if n > _MAX_EXPECTED_PROPOSALS:
+        raise SamplingBudgetExceeded(f"{n} draws expect at least {n:.3g} proposals, one per exact draw")
     n0 = _round_half_up(n * pop.prevalence0)
     features = np.empty(n)
     pop.sampler0.draw(stream, n0, features[:n0])

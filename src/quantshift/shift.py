@@ -17,6 +17,7 @@ from functools import cache, partial
 
 import numpy as np
 
+from .errors import NumericalFailure
 from .models import (
     Density,
     DensityRatio,
@@ -45,7 +46,7 @@ class ShiftKind(str, Enum):
     SQRT_RATIO = "sqrt_ratio"
 
 
-class NoInteriorSolution(ArithmeticError):
+class NoInteriorSolution(NumericalFailure, ArithmeticError):
     """The mixture decomposition has no weight strictly inside (0, 1)."""
 
     def __init__(self, message: str, failed_moment: str):

@@ -1,6 +1,8 @@
 import dataclasses
+import importlib
 import json
 import math
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -239,6 +241,34 @@ class TestRunExperiment:
         assert first[0] == -6.0
 
 
+def _error_classes() -> list[type]:
+    """Every exception class that a quantshift submodule defines."""
+    classes = []
+    for info in pkgutil.iter_modules(qs.__path__):
+        module = importlib.import_module(f"quantshift.{info.name}")
+        classes += [
+            obj for obj in vars(module).values()
+            if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__
+        ]
+    return classes
+
+
+ERROR_CLASSES = _error_classes()
+RAISED_ERRORS = [cls for cls in ERROR_CLASSES if cls is not qs.QuantshiftError]
+
+
+class TestErrorContract:
+    def test_the_walk_finds_the_error_classes(self):
+        assert {qs.QuantshiftError, qs.ConfigError, qs.NumericalFailure, qs.NoInteriorSolution} <= set(ERROR_CLASSES)
+
+    @pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+    def test_every_error_is_an_exported_quantshift_error(self, error):
+        assert issubclass(error, qs.QuantshiftError)
+        assert error is qs.QuantshiftError or error.exit_code in (1, 2)
+        assert error.__name__ in qs.__all__
+        assert getattr(qs, error.__name__) is error
+
+
 class TestCli:
     def test_run_with_config_file(self, tmp_path):
         config_path = tmp_path / "exp.cfg"
@@ -373,6 +403,24 @@ class TestCli:
             "panels = population\noutputs = prevalence\n"
         )
         assert main(["run", str(config_path), "--outdir", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("error", RAISED_ERRORS, ids=lambda cls: cls.__name__)
+    def test_every_error_exits_with_its_class_code(self, tmp_path, capsys, monkeypatch, error):
+        args = ("raised", "E[R]") if error is qs.NoInteriorSolution else ("raised",)
+
+        def fail(config):
+            raise error(*args)
+
+        monkeypatch.setattr(cli, "build_setup", fail)
+        assert main(["run", "--panel", "population", "--outdir", str(tmp_path / "out")]) == error.exit_code
+        assert capsys.readouterr().err == f"{error.prefix}: raised\n"
+
+    def test_sample_size_over_the_budget_exit_code(self, tmp_path, capsys):
+        # a valid size ended in a traceback when the features were allocated
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text("sample_size = 1000000000000000000000000000000\npanels = sample\n")
+        assert main(["run", str(config_path), "--outdir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("numerical failure: ")
 
     def test_unresolved_measure_exit_code(self, tmp_path, capsys, monkeypatch):
         # on two window and two band panels both CDF masses lie 1.4e-7 from 1

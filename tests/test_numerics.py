@@ -206,7 +206,7 @@ class TestPriorEquationSolver:
         # a node weight that underflows to 0 where log R peaks must not make
         # the log-sum-exp discard the nodes that carry the mass
         root = solve_prior_equation(np.array([2000.0, 1.0, -1.0]), np.array([0.0, 0.5, 0.5]))
-        assert root.log_moment_r == pytest.approx(math.log(math.cosh(1.0)), rel=1e-14)
+        assert root.log_moment_r == pytest.approx(math.log(math.cosh(1.0)), rel=1e-14, abs=0.0)
         assert root.value == pytest.approx(0.5, abs=1e-15)
 
     def test_weights_summing_to_zero_raise(self):
@@ -218,11 +218,11 @@ class TestPriorEquationSolver:
         for q in (1e-12, 0.3, 1.0 - 1e-12):
             terms = 1.0 / (c + q)
             assert np.all(np.isfinite(terms))
-            assert terms[0] == pytest.approx(1.0 / q, rel=1e-15)
-            assert terms[1] == pytest.approx(-1.0 / (1.0 - q), rel=1e-15)
+            assert terms[0] == pytest.approx(1.0 / q, rel=1e-15, abs=0.0)
+            assert terms[1] == pytest.approx(-1.0 / (1.0 - q), rel=1e-15, abs=0.0)
             assert terms[2] == 0.0
         root = solve_prior_equation(np.array([1000.0, -1000.0]), np.array([0.3, 0.7]))
-        assert root.log_moment_r == pytest.approx(1000.0 + math.log(0.3), rel=1e-15)
+        assert root.log_moment_r == pytest.approx(1000.0 + math.log(0.3), rel=1e-15, abs=0.0)
         assert root.value == pytest.approx(0.3, abs=1e-15)
 
     def test_c_is_left_in_the_given_array(self):
@@ -246,7 +246,7 @@ class TestPriorEquationSolver:
         assert points.shape == weights.shape == ((len(edges) - 1) * 15,)
         assert np.all(np.diff(points) > 0.0)
         assert float(np.dot(weights, std_normal_pdf(points))) == pytest.approx(1.0, abs=1e-14)
-        assert float(np.sum(weights)) == pytest.approx(24.0, rel=1e-14)
+        assert float(np.sum(weights)) == pytest.approx(24.0, rel=1e-14, abs=0.0)
 
 
 class TestQuadrature:

@@ -67,6 +67,18 @@ class TestStratifiedSample:
         with pytest.raises(ValueError):
             qs.stratified_sample(train, 0, qs.RngStream(1, 0))
 
+    def test_size_budget_raises_before_allocating(self, train, traced_peak):
+        # an exact draw is one proposal, so 1e13 draws exceed the 1e12 bound
+        stream = qs.RngStream(1, 0)
+        stream.next_uniform()
+
+        def draw():
+            with pytest.raises(SamplingBudgetExceeded, match="^10000000000000 draws expect at least 1e\\+13 proposals"):
+                qs.stratified_sample(train, 10**13, stream)
+
+        assert traced_peak(draw) < 4096
+        assert stream.words_drawn == 1
+
     def test_distributional_fidelity(self, train):
         dataset = qs.stratified_sample(train, 10_000, qs.RngStream(4, 4))
         class0 = dataset.features[dataset.labels == 0]

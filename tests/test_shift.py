@@ -4,6 +4,7 @@ import pytest
 import quantshift as qs
 from quantshift import models
 from quantshift.models import normal_pdf
+from quantshift.numerics import solve_prior_equation
 
 
 def default_envelope(x):
@@ -116,6 +117,26 @@ class TestMixtureWeightOracle:
         # the sampler's constant comes from the small weight itself, not 1 - q* rounded
         sampler = test.sampler0 if theta > 1.0 else test.sampler1
         assert 1.0 / sampler.envelope_constant == pytest.approx(small, rel=1e-13, abs=0.0)
+
+
+class TestEnvelopeMoments:
+    """The ratio moments the decomposition reads from its node measure,
+    against their closed form: under the envelope N(m, s^2) with
+    log R = a x + b, log E[R] = a m + b + a^2 s^2 / 2 and
+    log E[1/R] = -a m - b + a^2 s^2 / 2."""
+
+    @pytest.mark.parametrize("kind", ["invariant_ratio", "sqrt_ratio"])
+    @pytest.mark.parametrize("mean, sd", [(0.5, 1.4), (0.0, 1.0), (1.0, 0.7)])
+    def test_log_moments_match_the_closed_form(self, train, kind, mean, sd):
+        ratio = train.ratio.sqrt() if kind == "sqrt_ratio" else train.ratio
+        pad = models.TRUNCATION_HALFWIDTH * sd
+        envelope = lambda x: normal_pdf(x, mean, sd)
+        points, weights = models.node_masses((mean - pad, mean + pad), ratio, envelope)
+        root = solve_prior_equation(ratio.log(points), weights)
+        a, b = ratio.log_slope, ratio.log_offset
+        half_variance = 0.5 * a * a * sd * sd
+        assert root.log_moment_r == pytest.approx(a * mean + b + half_variance, rel=0.0, abs=1e-14)
+        assert root.log_moment_inv == pytest.approx(-a * mean - b + half_variance, rel=0.0, abs=1e-14)
 
 
 class TestMakeTestPopulation:
