@@ -5,8 +5,8 @@ a0 = c0 q, a1 = c1 (1-q) at a class-0 prevalence q (:func:`adapt_threshold`).
 Every density ratio in scope is strictly monotone, so that set is a
 half-line and classifiers reduce to a feature-space cut point.
 The rate of class-0 decisions is then a CDF evaluation at the cut: exact for
-a population model (:meth:`ThresholdClassifier.rate_class0`), and an
-empirical-CDF count in the sorted features for a sample
+a population model (:meth:`ThresholdClassifier.rate_class0`), and a count of
+the features on the class-0 side for a sample
 (:meth:`ThresholdClassifier.count_class0`).
 """
 
@@ -44,11 +44,14 @@ class ThresholdClassifier:
     cut: float
     class0_below: bool = True
 
+    def decides_class0(self, x):
+        """Whether each feature of a scalar or array ``x`` is decided class 0."""
+        x = np.asarray(x, dtype=float)
+        return x < self.cut if self.class0_below else x > self.cut
+
     def predict(self, x):
         """Label 0 or 1 for a scalar or array of features."""
-        x = np.asarray(x, dtype=float)
-        mask = x < self.cut if self.class0_below else x > self.cut
-        labels = np.where(mask, 0, 1)
+        labels = np.where(self.decides_class0(x), 0, 1)
         return labels if labels.ndim else int(labels)
 
     def rate_class0(self, cdf) -> float:
@@ -57,19 +60,10 @@ class ThresholdClassifier:
         mass_below = cdf(self.cut)
         return mass_below if self.class0_below else 1.0 - mass_below
 
-    def count_class0(self, sorted_x: np.ndarray) -> int:
-        """Number of class-0 decisions among the ascending features ``sorted_x``.
-
-        Equals ``np.count_nonzero(self.predict(sorted_x) == 0)``, ties and
-        infinite cuts included, so the count divided by ``len(sorted_x)`` is
-        bit for bit the mean of those decisions (``1 - count_below / n``
-        would round differently).  Sorting puts NaN last, so with
-        ``class0_below=False`` the count is exact only for non-NaN features,
-        which every sampler produces.
-        """
-        if self.class0_below:
-            return int(np.searchsorted(sorted_x, self.cut, side="left"))
-        return len(sorted_x) - int(np.searchsorted(sorted_x, self.cut, side="right"))
+    def count_class0(self, x: np.ndarray) -> int:
+        """Number of class-0 decisions among the features ``x``, in any order;
+        divided by ``len(x)``, bit for bit the mean of ``predict(x) == 0``."""
+        return int(np.count_nonzero(self.decides_class0(x)))
 
 
 ALWAYS_CLASS_0 = ThresholdClassifier(cut=math.inf)

@@ -258,8 +258,7 @@ def _evaluator(setup: ScenarioSetup, panel: str, rep: int, model: PopulationMode
 
 def _estimates_for_cell(setup: ScenarioSetup, evaluator, tpr: float, fpr: float) -> dict[str, float]:
     config = setup.config
-    # EM first: its solve arrays are freed before CDE's counts build a
-    # sample's sorted copy, so the two never coexist
+    # the evaluator keeps no state, so the order of the estimators moves no value
     em_est = em_estimate(evaluator, setup.train.ratio)
     cde = cde_iterate(setup.train, evaluator, config.cde_max_iter, config.cde_tol)
     trace = cde.trace

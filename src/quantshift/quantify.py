@@ -9,9 +9,9 @@ half-lines, so on both backends a rate is a CDF evaluated at the cut.  A
 :class:`PopulationEvaluator` answers from the model: rates from its
 class-conditional CDFs, and the measure from the node measure the model
 carries (``PopulationModel.nodes``).  A :class:`SampleEvaluator` answers from
-the features of a sample, each weighted 1/n, and takes a rate as a count in
-its sorted features.  Estimators never look at test labels through either
-backend.
+the features of a sample, each weighted 1/n, and takes a rate as the count
+of features on the class-0 side of the cut.  Neither evaluator keeps state,
+and estimators never look at test labels through either backend.
 """
 
 from __future__ import annotations
@@ -92,26 +92,20 @@ class PopulationEvaluator:
 class SampleEvaluator:
     """Empirical evaluation over the features of a test sample.
 
-    Rates are counts in sorted features
-    (:meth:`~quantshift.classify.ThresholdClassifier.count_class0`), so a
-    query costs a binary search rather than a pass over the sample.  The
-    quantification surface (``predict_positive_rate``, ``measure``,
-    ``expect``) reads features only; its sorted copy is built on first use
-    without the labels.  Label-dependent queries (``rates_by_class``,
-    ``prevalence0``, used by evaluation metrics) count in per-class sorted
-    features, built from the labels on the first such query.
+    A rate is a count of class-0 decisions in one pass over the features
+    (:meth:`~quantshift.classify.ThresholdClassifier.count_class0`), divided
+    by the number counted.  The quantification surface
+    (``predict_positive_rate``, ``measure``, ``expect``) reads features only.
+    Label-dependent queries (``rates_by_class``, ``prevalence0``, used by
+    evaluation metrics) count within each class of the labels.
     """
 
     def __init__(self, dataset: LabeledDataset):
         self.dataset = dataset
         self._features = np.asarray(dataset.features, dtype=float)
-        self._sorted: np.ndarray | None = None
-        self._sorted_by_class: tuple[np.ndarray, np.ndarray] | None = None
 
     def predict_positive_rate(self, clf: ThresholdClassifier) -> float:
-        if self._sorted is None:
-            self._sorted = np.sort(self._features)
-        return clf.count_class0(self._sorted) / len(self._sorted)
+        return clf.count_class0(self._features) / len(self._features)
 
     def measure(self) -> tuple[np.ndarray, float]:
         """The features, each with weight 1/n."""
@@ -120,26 +114,20 @@ class SampleEvaluator:
     def expect(self, fn: Callable) -> float:
         return float(np.mean(fn(self._features)))
 
-    def _class_features(self) -> tuple[np.ndarray, np.ndarray]:
-        """The class-0 and class-1 features, each in ascending order."""
-        if self._sorted_by_class is None:
-            labels = np.asarray(self.dataset.labels)
-            by_class = []
-            for cls in (0, 1):
-                x = self._features[labels == cls]
-                x.sort()
-                by_class.append(x)
-            self._sorted_by_class = by_class[0], by_class[1]
-        return self._sorted_by_class
-
     @property
     def prevalence0(self) -> float:
-        return len(self._class_features()[0]) / len(self._features)
+        return np.count_nonzero(np.asarray(self.dataset.labels) == 0) / len(self._features)
 
     def rates_by_class(self, clf: ThresholdClassifier) -> tuple[float, float]:
         """(Q[g=0 | Y=0], Q[g=0 | Y=1]) as counts per class; an empty class gives 0.0."""
-        class0, class1 = self._class_features()
-        return tuple(clf.count_class0(x) / len(x) if len(x) else 0.0 for x in (class0, class1))
+        labels = np.asarray(self.dataset.labels)
+        decided0 = clf.decides_class0(self._features)
+        rates = []
+        for cls in (0, 1):
+            in_class = labels == cls
+            size = np.count_nonzero(in_class)
+            rates.append(np.count_nonzero(decided0 & in_class) / size if size else 0.0)
+        return rates[0], rates[1]
 
 
 def training_rates(train: PopulationModel, clf: ThresholdClassifier) -> tuple[float, float]:

@@ -27,7 +27,8 @@ class EnvelopeViolation(NumericalFailure, RuntimeError):
 
 
 class SamplingBudgetExceeded(NumericalFailure, RuntimeError):
-    """``n`` draws at envelope constant M would expect n M > ``_MAX_EXPECTED_PROPOSALS`` proposals."""
+    """``n`` draws at envelope constant M would expect n M > ``_MAX_EXPECTED_PROPOSALS``
+    proposals, or a sample of ``n`` does not fit in memory."""
 
 
 @dataclass(frozen=True)
@@ -55,17 +56,21 @@ def stratified_sample(pop: PopulationModel, n: int, stream: RngStream) -> Labele
 
     Class-0 features are drawn first, then class-1, from the same stream, so
     the dataset is a pure function of (pop, n, stream identity).  Above
-    ``_MAX_EXPECTED_PROPOSALS`` draws it raises before it allocates or draws.
+    ``_MAX_EXPECTED_PROPOSALS`` draws it raises before it allocates or draws,
+    and it raises before it draws if the sample cannot be allocated.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > _MAX_EXPECTED_PROPOSALS:
         raise SamplingBudgetExceeded(f"{n} draws expect at least {n:.3g} proposals, one per exact draw")
     n0 = _round_half_up(n * pop.prevalence0)
-    features = np.empty(n)
+    try:
+        features = np.empty(n)
+        labels = np.zeros(n, dtype=np.int8)
+    except MemoryError as exc:
+        raise SamplingBudgetExceeded(f"a sample of {n} does not fit in memory: {exc}") from exc
     pop.sampler0.draw(stream, n0, features[:n0])
     pop.sampler1.draw(stream, n - n0, features[n0:])
-    labels = np.zeros(n, dtype=np.int8)
     labels[n0:] = 1
     return LabeledDataset(features, labels, (stream.seed, stream.stream_id))
 

@@ -151,6 +151,8 @@ def features_and_classifier(draw):
 
 
 _EDGES = np.array([-math.inf, 0.0, 1.0, 1.0, 2.0, math.inf])
+# a NaN feature is decided class 1 on either side of the cut
+_WITH_NAN = np.array([math.nan, 2.0, -1.0, math.nan, 0.5, 1.0])
 
 
 class TestCountClass0:
@@ -159,8 +161,12 @@ class TestCountClass0:
     @example((_EDGES, qs.ThresholdClassifier(cut=1.0, class0_below=False)))
     @example((_EDGES, ALWAYS_CLASS_0))
     @example((_EDGES, ALWAYS_CLASS_1))
+    @example((_WITH_NAN, qs.ThresholdClassifier(cut=1.0)))
+    @example((_WITH_NAN, qs.ThresholdClassifier(cut=1.0, class0_below=False)))
     def test_count_is_the_mean_of_predictions(self, case):
+        # in any order: as drawn, and sorted
         x, clf = case
-        count = clf.count_class0(np.sort(x))
-        assert count == np.count_nonzero(clf.predict(x) == 0)
-        assert count / len(x) == np.mean(clf.predict(x) == 0)
+        for features in (x, np.sort(x)):
+            count = clf.count_class0(features)
+            assert count == np.count_nonzero(clf.predict(x) == 0)
+            assert count / len(x) == np.mean(clf.predict(x) == 0)

@@ -5,6 +5,7 @@ import math
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import quantshift as qs
@@ -422,6 +423,20 @@ class TestCli:
         assert main(["run", str(config_path), "--outdir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("numerical failure: ")
 
+    def test_sample_size_that_cannot_be_allocated_exit_code(self, tmp_path, capsys):
+        # under the proposal bound, the 7.28 TiB of features ended in numpy's
+        # untyped MemoryError; the allocator refuses it outright, and a size
+        # it might commit is never tried
+        with pytest.raises(MemoryError):
+            np.empty(1_000_000_000_000)
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text("sample_size = 1000000000000\npanels = sample\n")
+        with deadline(5.0):
+            assert main(["run", str(config_path), "--outdir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ")
+        assert "Traceback" not in err
+
     def test_unresolved_measure_exit_code(self, tmp_path, capsys, monkeypatch):
         # on two window and two band panels both CDF masses lie 1.4e-7 from 1
         monkeypatch.setattr(models, "_WINDOW_PANELS", 2)
@@ -522,13 +537,20 @@ class TestNodeBuilds:
 
 class TestSampleCellMemory:
     def test_a_cell_holds_two_arrays_of_the_sample_size(self, traced_peak):
-        # EM's two arrays are freed before CDE-Iterate sorts a copy of the features
+        # EM's log R and scratch arrays; the rate counts hold a boolean mask
         n = 200_000
         setup = experiment.build_setup(qs.ExperimentConfig(sample_size=n, panels=("sample",)))
         evaluator = experiment._evaluator(setup, "sample", 0, setup.test_conditionals.with_prevalence(0.3), 1)
         tpr, fpr = qs.PopulationEvaluator(setup.train).rates_by_class(setup.min_error_classifier)
         peak = traced_peak(lambda: experiment._estimates_for_cell(setup, evaluator, tpr, fpr))
         assert peak <= 2.05 * 8 * n
+
+    def test_a_sample_run_peaks_in_its_estimates(self, traced_peak):
+        # a cell's dataset (8n feature bytes, n label bytes) and EM's two
+        # arrays; the metrics count in boolean masks of n bytes
+        n = 200_000
+        config = qs.ExperimentConfig(sample_size=n, panels=("sample",), seed=3)
+        assert traced_peak(lambda: qs.run_experiment(config)) <= 3.2 * 8 * n
 
 
 def _prevalence_tables(scenario: str, panel: str = "population", **fields) -> dict:

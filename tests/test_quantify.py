@@ -177,6 +177,40 @@ class TestCdeIterate:
             qs.cde_iterate(train, pop_eval(train, 0.5), tol=0.0)
 
 
+# Prior shift over the binormal parameter space: class means mu and
+# nu = mu + gap * sigma, at every training prevalence p.
+_FISHER_GRID = [
+    (mu, mu + gap * sigma, sigma, p)
+    for mu in (-2.0, 0.0, 1.5)
+    for gap in (0.5, 2.0, 4.0)
+    for sigma in (0.5, 1.0, 2.5)
+    for p in (0.1, 0.5, 0.9)
+]
+
+
+class TestFisherConsistencyUnderPriorShift:
+    """The paper's claim at population level: EM and ACC recover every test
+    prevalence, and the true prevalence is no CDE-Iterate fixed point except
+    at 1/2, where the equal-weight cut (mu + nu)/2 splits f0/2 + f1/2 in half."""
+
+    @pytest.mark.parametrize("mu, nu, sigma, p", _FISHER_GRID)
+    def test_em_acc_and_cde_residual(self, mu, nu, sigma, p):
+        train = qs.binormal_population(qs.BinormalParams(mu, nu, sigma), p)
+        clf = qs.bayes_classifier(train)
+        tpr, fpr = qs.training_rates(train, clf)
+        for q in GRID:
+            evaluator = pop_eval(train, q)
+            assert abs(qs.em_estimate(evaluator, train.ratio).value - q) <= 1e-12
+            # the adjustment divides the rounding of the rates by tpr - fpr,
+            # which is 1.5e-5 at the narrowest gap with p = 0.1 or 0.9
+            assert abs(qs.acc_estimate(evaluator, clf, tpr, fpr).value - q) <= 1e-15 / (tpr - fpr)
+            residual = qs.fixed_point_residual(train, evaluator, q)
+            if q == 0.5:
+                assert residual == 0.0
+            else:
+                assert abs(residual) >= 1e-4
+
+
 class TestFixedPointResidual:
     def test_symmetric_zero(self, train):
         assert qs.fixed_point_residual(train, pop_eval(train, 0.5), 0.5) == pytest.approx(0.0, abs=1e-14)
@@ -252,6 +286,24 @@ class TestSampleEvaluator:
         expected = (_old_rate(clf, x[labels == 0]), _old_rate(clf, x[labels == 1]))
         assert evaluator.rates_by_class(clf) == expected
         assert evaluator.prevalence0 == float(np.mean(labels == 0))
+
+    def test_holds_no_state(self, train):
+        dataset = qs.stratified_sample(train.with_prevalence(0.3), 100, qs.RngStream(5, 1))
+        evaluator = qs.SampleEvaluator(dataset)
+        clf = qs.bayes_classifier(train)
+        evaluator.predict_positive_rate(clf)
+        evaluator.rates_by_class(clf)
+        assert evaluator.prevalence0 == 0.3
+        assert set(vars(evaluator)) == {"dataset", "_features"}
+
+    @pytest.mark.parametrize("query", ["predict_positive_rate", "rates_by_class"])
+    def test_a_rate_holds_no_sample_sized_float_array(self, train, traced_peak, query):
+        # a class-0 mask (1 byte per feature), and for a class rate the class
+        # mask and its conjunction with the decisions
+        n = 200_000
+        dataset = qs.stratified_sample(train.with_prevalence(0.3), n, qs.RngStream(5, 1))
+        rate = getattr(qs.SampleEvaluator(dataset), query)
+        assert traced_peak(lambda: rate(qs.bayes_classifier(train))) <= 3.05 * n
 
     def test_positive_rate_counts_predictions(self, train):
         clf = qs.bayes_classifier(train)  # cut at 1
