@@ -31,13 +31,12 @@ from .quantify import (
     cde_iterate,
     em_estimate,
 )
+from .reference import PREVALENCE_GRID as DEFAULT_GRID, ROW_LABELS
 from .sampling import stratified_sample
 from .shift import ShiftKind, ShiftScenario, make_test_population
 
-DEFAULT_GRID = (0.01, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99)
 PANELS = ("population", "sample")
 OUTPUTS = ("prevalence", "relative_error", "accuracy", "f_measure")
-ROW_LABELS = ("CDE1", "CDE2", "CDEinf", "ACC", "EM")
 
 # Stream-id layout: one 16-bit block per scenario, in ShiftKind order; within
 # a block, one sub-block per repetition holding the training draw (slot 0)
@@ -261,11 +260,10 @@ def _estimates_for_cell(setup: ScenarioSetup, evaluator, tpr: float, fpr: float)
     # the evaluator keeps no state, so the order of the estimators moves no value
     em_est = em_estimate(evaluator, setup.train.ratio)
     cde = cde_iterate(setup.train, evaluator, config.cde_max_iter, config.cde_tol)
-    trace = cde.trace
     acc_est = acc_estimate(evaluator, setup.min_error_classifier, tpr, fpr)
     return {
-        "CDE1": trace[0],
-        "CDE2": trace[min(1, len(trace) - 1)],
+        "CDE1": cde.trace[0],
+        "CDE2": cde.trace[1],
         "CDEinf": cde.value,
         "ACC": acc_est.value,
         "EM": em_est.value,
@@ -382,6 +380,9 @@ def tables_from_json(text: str) -> list[ResultTable]:
             for row in rows
         ):
             raise ConfigError("a table needs string labels and one number or null per row and column label")
-        cells = tuple(tuple(math.nan if v is None else v for v in row) for row in rows)
+        try:
+            cells = tuple(tuple(math.nan if v is None else float(v) for v in row) for row in rows)
+        except OverflowError:
+            raise ConfigError("a table cell is too large for a float") from None
         tables.append(ResultTable(t["caption"], scenario, metric, panel, col_labels, row_labels, cells))
     return tables

@@ -145,8 +145,9 @@ class PopulationModel:
     ``support`` is the window outside which both densities are numerically
     negligible; population integrals run over it.  ``ratio`` is the analytic
     f0/f1, and ``sampler0``/``sampler1`` draw values from the class
-    conditionals.  ``nodes()`` returns ``node_masses(support, ratio, f0, f1)``,
-    built on the first call and shared by every :meth:`with_prevalence` copy.
+    conditionals.  ``nodes()`` returns ``node_masses(support, ratio, f0, f1)``
+    (a derived population's are the nodes q* was solved on), shared by every
+    :meth:`with_prevalence` copy.
     """
 
     f0: Density

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, partial
 
 import numpy as np
 
@@ -25,12 +24,11 @@ from .models import (
     NormalSampler,
     PopulationModel,
     TRUNCATION_HALFWIDTH,
-    node_masses,
     normal_pdf,
     panel_edges,
     posterior,
 )
-from .numerics import UnresolvedMeasure, solve_prior_equation
+from .numerics import UnresolvedMeasure, gauss_legendre_nodes, solve_prior_equation
 from .sampling import RejectionSampler
 
 # Existence of an interior mixture weight requires both ratio moments to
@@ -82,7 +80,7 @@ def decompose_mixture(
     h_star: Density,
     ratio: DensityRatio,
     support: tuple[float, float],
-) -> tuple[float, float, Density, Density]:
+) -> tuple[float, float, Density, Density, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Split ``h_star`` into q* h0 + (1-q*) h1 with h0/h1 equal to ``ratio``.
 
     The weight q* is the unique root in (0, 1) of
@@ -90,18 +88,18 @@ def decompose_mixture(
         integral of (R - 1) / (1 + q (R - 1)) h* dx = 0,
 
     which exists iff both E[R] > 1 and E[1/R] > 1 under h*.  The integral is
-    a sum over ``node_masses(support, ratio, h_star)``, the node measure of a
-    population on that support, and :func:`~quantshift.numerics.solve_prior_equation`
-    finds the root.  It returns q*, 1 - q* (the smaller to full relative
-    precision), h0 = h* / (q* (1 + e^-z)) and h1 = h* / ((1 - q*) (1 + e^z)),
-    where z = log R + log(q* / (1 - q*)) is the posterior log-odds; both stay
-    finite where R overflows.
+    a sum over the nodes of ``panel_edges(support, ratio)``, built once, and
+    :func:`~quantshift.numerics.solve_prior_equation` finds the root.  It
+    returns q*, 1 - q* (the smaller to full relative precision),
+    h0 = h* / (q* (1 + e^-z)), h1 = h* / ((1 - q*) (1 + e^z)), where
+    z = log R + log(q* / (1 - q*)) is the posterior log-odds (both stay finite
+    where R overflows), and ``node_masses(support, ratio, h0, h1)`` on those nodes.
 
     Raises:
         NoInteriorSolution: naming the moment inequality that failed.
     """
-    points, weights = node_masses(support, ratio, h_star)
-    root = solve_prior_equation(ratio.log(points), weights)
+    points, weights = gauss_legendre_nodes(panel_edges(support, ratio))
+    root = solve_prior_equation(ratio.log(points), weights * h_star(points))
     if root.log_moment_r <= math.log1p(_MOMENT_MARGIN):
         raise NoInteriorSolution(
             f"E[R] = {math.exp(root.log_moment_r)} under the envelope does not exceed 1; "
@@ -125,7 +123,7 @@ def decompose_mixture(
         with np.errstate(over="ignore"):
             return h_star(x) / (q_complement * (1.0 + np.exp(ratio.log(x) + log_odds)))
 
-    return q_star, q_complement, h0, h1
+    return q_star, q_complement, h0, h1, (points, weights * h0(points), weights * h1(points))
 
 
 def make_test_population(scenario: ShiftScenario) -> PopulationModel:
@@ -134,7 +132,7 @@ def make_test_population(scenario: ShiftScenario) -> PopulationModel:
     Under prior probability shift the training conditionals are reused with
     the new prevalence.  For the derived kinds, the conditional pair comes
     from the envelope decomposition and is the same for every test prevalence;
-    their CDF tables sum the population's node masses, built here, and their
+    their CDF tables and ``nodes()`` are the node masses it returns, and their
     samplers accept-reject with the exact envelope constants 1/q* (class 0)
     and 1/(1-q*) (class 1), each from the weight the decomposition returns,
     so the smaller weight's constant keeps full relative precision.
@@ -157,11 +155,10 @@ def make_test_population(scenario: ShiftScenario) -> PopulationModel:
 
     pad = TRUNCATION_HALFWIDTH * sd
     support = (mean - pad, mean + pad)
-    q_star, q_complement, h0, h1 = decompose_mixture(h_star, ratio, support)
+    q_star, q_complement, h0, h1, nodes = decompose_mixture(h_star, ratio, support)
 
-    nodes = cache(partial(node_masses, support, ratio, h0, h1))
-    edges, (_, mass0, mass1) = panel_edges(support, ratio), nodes()
-    cdf0, cdf1 = GridCdf(h0, edges, mass0), GridCdf(h1, edges, mass1)
+    edges = panel_edges(support, ratio)
+    cdf0, cdf1 = GridCdf(h0, edges, nodes[1]), GridCdf(h1, edges, nodes[2])
     masses = (cdf0.total_mass, cdf1.total_mass)
     if not all(abs(mass - 1.0) <= _MASS_TOLERANCE for mass in masses):
         raise UnresolvedMeasure(
@@ -179,7 +176,7 @@ def make_test_population(scenario: ShiftScenario) -> PopulationModel:
         ratio=ratio,
         sampler0=RejectionSampler(h0, proposal, h_star, 1.0 / q_star),
         sampler1=RejectionSampler(h1, proposal, h_star, 1.0 / q_complement),
-        nodes=nodes,
+        nodes=lambda: nodes,
     )
 
 

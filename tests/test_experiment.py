@@ -370,8 +370,9 @@ class TestCli:
             {"cells": [[0.3, 0.7]]},
             {"cells": [[0.3, True], [0.31, None]]},
             {"col_labels": [0.3, 0.7]},
+            {"cells": [[0.3, 10**400], [0.31, None]]},
         ],
-        ids=["string_cell", "short_row", "missing_row", "bool_cell", "number_label"],
+        ids=["string_cell", "short_row", "missing_row", "bool_cell", "number_label", "int_too_large_for_a_float"],
     )
     def test_tables_malformed_table_exit_code(self, tmp_path, capsys, field):
         results = tmp_path / "results.json"
@@ -519,14 +520,19 @@ def _results_json(**fields) -> str:
 
 
 class TestNodeBuilds:
-    """Each population builds its node measure once, on first use, and every
-    module reads it from there (``PopulationModel.nodes``)."""
+    """Each population builds its node measure once (a binormal one on first
+    use, a derived one in its decomposition), and every module reads it from
+    there (``PopulationModel.nodes``)."""
 
-    def test_verify_builds_five_node_measures(self, node_builds, capsys):
+    def test_verify_builds_three_node_measures(self, node_builds, capsys):
         # prior shift: the training conditionals; each derived scenario: the
-        # envelope in the decomposition, then the test conditionals
+        # decomposition's nodes, which the test conditionals reuse
         assert main(["verify"]) == 0
-        assert len(node_builds) == 5
+        assert len(node_builds) == 3
+
+    def test_population_run_builds_three_node_measures(self, node_builds, tmp_path):
+        assert main(["run", "--panel", "population", "--outdir", str(tmp_path / "out")]) == 0
+        assert len(node_builds) == 3
 
     def test_sample_only_prior_shift_builds_none(self, node_builds, tmp_path):
         config_path = tmp_path / "exp.cfg"

@@ -55,3 +55,8 @@ def test_positional_argument_keeps_its_name(name, index, parameter):
 def test_gridcdf_keeps_its_leading_arguments():
     parameters = list(inspect.signature(_hooked(HOOKS_BY_NAME["models.GridCdf.__init__"])).parameters)
     assert parameters[:3] == ["self", "density", "edges"]
+
+
+def test_decompose_mixture_keeps_its_leading_arguments():
+    parameters = list(inspect.signature(_hooked(HOOKS_BY_NAME["shift.decompose_mixture"])).parameters)
+    assert parameters[:3] == ["h_star", "ratio", "support"]

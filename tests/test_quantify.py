@@ -332,18 +332,15 @@ class TestPopulationEvaluator:
 
     def test_with_prevalence_copies_share_one_node_build(self, node_builds, train):
         derived = qs.ShiftScenario(qs.ShiftKind.INVARIANT_RATIO, train, 0.5)
-        # a derived population adds the decomposition's build on the envelope;
-        # its CDF tables and every evaluator share the conditionals' one build
-        for make, builds in (
-            (lambda: qs.binormal_population(qs.BinormalParams(), 0.5), 1),
-            (lambda: qs.make_test_population(derived), 2),
-        ):
+        # a derived population's CDF tables and every evaluator share the
+        # nodes its decomposition solved q* on
+        for make in (lambda: qs.binormal_population(qs.BinormalParams(), 0.5), lambda: qs.make_test_population(derived)):
             node_builds.clear()
             base = make()
             shifted = [base.with_prevalence(q) for q in (0.2, 0.7)]
             assert shifted[0].prevalence0 == 0.2 and shifted[0].nodes is base.nodes
             measures = [qs.PopulationEvaluator(model).measure() for model in (base, *shifted)]
-            assert len(node_builds) == builds
+            assert len(node_builds) == 1
             assert all(points is measures[0][0] for points, _ in measures)
             w0, w1 = base.nodes()[1:]
             assert np.array_equal(measures[1][1], 0.2 * w0 + 0.8 * w1)
