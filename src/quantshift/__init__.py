@@ -64,7 +64,6 @@ from .sampling import (
 from .shift import (
     NoInteriorSolution,
     ShiftKind,
-    ShiftScenario,
     covariate_shift_identity_check,
     decompose_mixture,
     make_test_population,
@@ -100,7 +99,6 @@ __all__ = [
     "SampleEvaluator",
     "SamplingBudgetExceeded",
     "ShiftKind",
-    "ShiftScenario",
     "ThresholdClassifier",
     "UnresolvedMeasure",
     "acc_estimate",

@@ -51,14 +51,21 @@ def _make_outdir(path: str) -> Path:
     return outdir
 
 
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path} ({type(exc).__name__}: {exc})") from None
+
+
 def _write_tables(tables: list[ResultTable], outdir: Path, format: str) -> None:
     for table in tables:
         stem = f"{table.scenario}_{table.metric}_{table.panel}"
         if format in ("csv", "both"):
-            (outdir / f"{stem}.csv").write_text(emit_table(table, "csv"))
-            (outdir / f"{stem}_full.csv").write_text(emit_table(table, "csv", full_precision=True))
+            _write(outdir / f"{stem}.csv", emit_table(table, "csv"))
+            _write(outdir / f"{stem}_full.csv", emit_table(table, "csv", full_precision=True))
         if format in ("markdown", "both"):
-            (outdir / f"{stem}.md").write_text(emit_table(table, "markdown"))
+            _write(outdir / f"{stem}.md", emit_table(table, "markdown"))
 
 
 def _load(path: str, parse):
@@ -87,10 +94,8 @@ def _cmd_run(args) -> int:
         tables = run_experiment(config, setup)
         all_tables.extend(tables)
         _write_tables(tables, outdir, args.format)
-        (outdir / f"{config.scenario.value}_densities.csv").write_text(density_grid_csv(setup))
-        (outdir / f"{config.scenario.value}_results.json").write_text(
-            tables_to_json(tables, config)
-        )
+        _write(outdir / f"{config.scenario.value}_densities.csv", density_grid_csv(setup))
+        _write(outdir / f"{config.scenario.value}_results.json", tables_to_json(tables, config))
     print(f"wrote {len(all_tables)} tables to {outdir}")
     return 0
 

@@ -33,7 +33,7 @@ from .quantify import (
 )
 from .reference import PREVALENCE_GRID as DEFAULT_GRID, ROW_LABELS
 from .sampling import stratified_sample
-from .shift import ShiftKind, ShiftScenario, make_test_population
+from .shift import ShiftKind, make_test_population
 
 PANELS = ("population", "sample")
 OUTPUTS = ("prevalence", "relative_error", "accuracy", "f_measure")
@@ -226,14 +226,7 @@ def build_setup(config: ExperimentConfig) -> ScenarioSetup:
     """Construct the training population, test conditionals, and base classifier."""
     params = BinormalParams(config.mu, config.nu, config.sigma)
     train = binormal_population(params, config.train_prevalence0)
-    scenario = ShiftScenario(
-        kind=config.scenario,
-        train=train,
-        test_prevalence0=config.test_prevalence_grid[0],
-        envelope_mean=config.envelope_mean,
-        envelope_sd=config.envelope_sd,
-    )
-    test_conditionals = make_test_population(scenario)
+    test_conditionals = make_test_population(config.scenario, train, config.envelope_mean, config.envelope_sd)
     return ScenarioSetup(config, train, test_conditionals, bayes_classifier(train))
 
 

@@ -33,11 +33,10 @@ class SamplingBudgetExceeded(NumericalFailure, RuntimeError):
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Features with binary labels and the stream identity that produced them."""
+    """Features with binary labels."""
 
     features: np.ndarray
     labels: np.ndarray
-    seed_record: tuple[int, int]
 
     def __post_init__(self):
         if len(self.features) != len(self.labels):
@@ -72,7 +71,7 @@ def stratified_sample(pop: PopulationModel, n: int, stream: RngStream) -> Labele
     pop.sampler0.draw(stream, n0, features[:n0])
     pop.sampler1.draw(stream, n - n0, features[n0:])
     labels[n0:] = 1
-    return LabeledDataset(features, labels, (stream.seed, stream.stream_id))
+    return LabeledDataset(features, labels)
 
 
 def _violation(x: float, t: float, bound: float, envelope_constant: float) -> EnvelopeViolation:

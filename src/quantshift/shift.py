@@ -11,7 +11,6 @@ equation.  One (h0, h1) pair then serves every test prevalence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -50,30 +49,6 @@ class NoInteriorSolution(NumericalFailure, ArithmeticError):
     def __init__(self, message: str, failed_moment: str):
         super().__init__(message)
         self.failed_moment = failed_moment
-
-
-@dataclass(frozen=True)
-class ShiftScenario:
-    """A training population plus the recipe for its shifted test population.
-
-    ``envelope_mean``/``envelope_sd`` parametrise the normal envelope h* used
-    by the derived kinds; they are ignored under plain prior probability
-    shift.
-    """
-
-    kind: ShiftKind
-    train: PopulationModel
-    test_prevalence0: float
-    envelope_mean: float = 0.5
-    envelope_sd: float = 1.4
-
-    def __post_init__(self):
-        # accept the plain string of a kind; an unknown one raises ValueError
-        object.__setattr__(self, "kind", ShiftKind(self.kind))
-        if not 0.0 < self.test_prevalence0 < 1.0:
-            raise ValueError("test_prevalence0 must lie strictly between 0 and 1")
-        if self.envelope_sd <= 0:
-            raise ValueError("envelope_sd must be positive")
 
 
 def decompose_mixture(
@@ -126,35 +101,43 @@ def decompose_mixture(
     return q_star, q_complement, h0, h1, (points, weights * h0(points), weights * h1(points))
 
 
-def make_test_population(scenario: ShiftScenario) -> PopulationModel:
-    """Build the test population described by ``scenario``.
+def make_test_population(
+    kind: ShiftKind | str, train: PopulationModel, envelope_mean: float = 0.5, envelope_sd: float = 1.4
+) -> PopulationModel:
+    """The test class conditionals of shift ``kind`` from ``train``, at the
+    training prevalence; ``with_prevalence`` sets each test prevalence.
 
-    Under prior probability shift the training conditionals are reused with
-    the new prevalence.  For the derived kinds, the conditional pair comes
-    from the envelope decomposition and is the same for every test prevalence;
-    their CDF tables and ``nodes()`` are the node masses it returns, and their
-    samplers accept-reject with the exact envelope constants 1/q* (class 0)
-    and 1/(1-q*) (class 1), each from the weight the decomposition returns,
-    so the smaller weight's constant keeps full relative precision.
+    Under prior probability shift they are the training conditionals, so
+    ``train`` itself is returned.  For the derived kinds, the conditional pair
+    comes from the decomposition of the normal envelope
+    N(``envelope_mean``, ``envelope_sd``^2); their CDF tables and ``nodes()``
+    are the node masses it returns, and their samplers accept-reject with the
+    exact envelope constants 1/q* (class 0) and 1/(1-q*) (class 1), each from
+    the weight the decomposition returns, so the smaller weight's constant
+    keeps full relative precision.
 
     Raises:
+        ValueError: if ``kind`` names no shift kind or ``envelope_sd`` is not positive.
         NoInteriorSolution: if the envelope admits no interior mixture weight.
         UnresolvedMeasure: if either conditional's CDF mass is more than 1e-9
             from 1.
     """
-    if scenario.kind is ShiftKind.PRIOR_SHIFT:
-        return scenario.train.with_prevalence(scenario.test_prevalence0)
+    # the ``is`` tests below need the member, not its plain string
+    kind = ShiftKind(kind)
+    if envelope_sd <= 0:
+        raise ValueError("envelope_sd must be positive")
+    if kind is ShiftKind.PRIOR_SHIFT:
+        return train
 
-    ratio = scenario.train.ratio
-    if scenario.kind is ShiftKind.SQRT_RATIO:
+    ratio = train.ratio
+    if kind is ShiftKind.SQRT_RATIO:
         ratio = ratio.sqrt()
-    mean, sd = scenario.envelope_mean, scenario.envelope_sd
 
     def h_star(x):
-        return normal_pdf(x, mean, sd)
+        return normal_pdf(x, envelope_mean, envelope_sd)
 
-    pad = TRUNCATION_HALFWIDTH * sd
-    support = (mean - pad, mean + pad)
+    pad = TRUNCATION_HALFWIDTH * envelope_sd
+    support = (envelope_mean - pad, envelope_mean + pad)
     q_star, q_complement, h0, h1, nodes = decompose_mixture(h_star, ratio, support)
 
     edges = panel_edges(support, ratio)
@@ -165,13 +148,13 @@ def make_test_population(scenario: ShiftScenario) -> PopulationModel:
             f"the test conditionals have masses {masses[0]!r} and {masses[1]!r} on {support}; "
             "the panels do not resolve them"
         )
-    proposal = NormalSampler(mean, sd)
+    proposal = NormalSampler(envelope_mean, envelope_sd)
     return PopulationModel(
         f0=h0,
         f1=h1,
         cdf0=cdf0,
         cdf1=cdf1,
-        prevalence0=scenario.test_prevalence0,
+        prevalence0=train.prevalence0,
         support=support,
         ratio=ratio,
         sampler0=RejectionSampler(h0, proposal, h_star, 1.0 / q_star),

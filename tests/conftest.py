@@ -108,12 +108,10 @@ def oracle_weights():
 @pytest.fixture(scope="session")
 def invariant_test(train):
     """Test conditionals for the invariant-density-ratio scenario (any prevalence)."""
-    scenario = qs.ShiftScenario(qs.ShiftKind.INVARIANT_RATIO, train, 0.5)
-    return qs.make_test_population(scenario)
+    return qs.make_test_population(qs.ShiftKind.INVARIANT_RATIO, train)
 
 
 @pytest.fixture(scope="session")
 def sqrt_test(train):
     """Test conditionals for the square-root-ratio scenario (any prevalence)."""
-    scenario = qs.ShiftScenario(qs.ShiftKind.SQRT_RATIO, train, 0.5)
-    return qs.make_test_population(scenario)
+    return qs.make_test_population(qs.ShiftKind.SQRT_RATIO, train)

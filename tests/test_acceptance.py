@@ -110,7 +110,7 @@ def populations(train):
     models, seconds = {}, {}
     for kind in ShiftKind:
         start = time.perf_counter()
-        models[kind.value] = qs.make_test_population(qs.ShiftScenario(kind, train, 0.5))
+        models[kind.value] = qs.make_test_population(kind, train)
         seconds[kind.value] = time.perf_counter() - start
     return {"models": models, "seconds": seconds}
 

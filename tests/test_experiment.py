@@ -258,6 +258,13 @@ ERROR_CLASSES = _error_classes()
 RAISED_ERRORS = [cls for cls in ERROR_CLASSES if cls is not qs.QuantshiftError]
 
 
+class TestPackageSurface:
+    def test_every_export_resolves_once_in_sorted_order(self):
+        # a deleted name cannot stay behind in __all__
+        assert all(hasattr(qs, name) for name in qs.__all__)
+        assert qs.__all__ == sorted(set(qs.__all__))
+
+
 class TestErrorContract:
     def test_the_walk_finds_the_error_classes(self):
         assert {qs.QuantshiftError, qs.ConfigError, qs.NumericalFailure, qs.NoInteriorSolution} <= set(ERROR_CLASSES)
@@ -396,6 +403,21 @@ class TestCli:
         blocker.write_text("")
         assert main(["tables", str(results), "--outdir", str(blocker)]) == 1
         assert capsys.readouterr().err.startswith(f"configuration error: cannot write to {blocker}")
+
+    @pytest.mark.parametrize("command", ["run", "tables"])
+    def test_unwritable_output_file_exit_code(self, tmp_path, capsys, command):
+        # a directory in place of an output file ended in IsADirectoryError
+        source = tmp_path / "input"
+        if command == "run":
+            source.write_text("test_prevalence_grid = 0.5\npanels = population\noutputs = prevalence\n")
+        else:
+            source.write_text(_results_json())
+        blocker = tmp_path / "out" / "prior_shift_prevalence_population.csv"
+        blocker.mkdir(parents=True)
+        assert main([command, str(source), "--outdir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot write {blocker}")
+        assert "Traceback" not in err
 
     def test_numerical_failure_exit_code(self, tmp_path):
         # an envelope far on the class-1 side admits no interior mixture weight

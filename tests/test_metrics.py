@@ -94,7 +94,7 @@ class TestFMeasure:
     def test_perfect_separation(self, train):
         features = np.concatenate([np.full(30, -50.0), np.full(70, 50.0)])
         labels = np.concatenate([np.zeros(30, dtype=int), np.ones(70, dtype=int)])
-        evaluator = qs.SampleEvaluator(qs.LabeledDataset(features, labels, (0, 0)))
+        evaluator = qs.SampleEvaluator(qs.LabeledDataset(features, labels))
         clf = qs.ThresholdClassifier(cut=0.0)
         assert qs.f_measure(evaluator, clf) == pytest.approx(1.0, abs=0.0)
 
@@ -116,6 +116,6 @@ class TestFMeasure:
     def test_zero_overlap_gives_zero(self):
         features = np.array([-1.0, 1.0])
         labels = np.array([1, 0])  # the classifier puts the only true 0 on the wrong side
-        evaluator = qs.SampleEvaluator(qs.LabeledDataset(features, labels, (0, 0)))
+        evaluator = qs.SampleEvaluator(qs.LabeledDataset(features, labels))
         clf = qs.ThresholdClassifier(cut=0.0)
         assert qs.f_measure(evaluator, clf) == 0.0

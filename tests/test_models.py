@@ -147,7 +147,7 @@ class TestPanelEdges:
     @pytest.mark.parametrize("kind", list(qs.ShiftKind))
     def test_equal_the_union1d_edges(self, kind, sigma):
         train = qs.binormal_population(qs.BinormalParams(sigma=sigma), 0.5)
-        test = qs.make_test_population(qs.ShiftScenario(kind, train, 0.5))
+        test = qs.make_test_population(kind, train)
         for model in (train, test):
             edges = panel_edges(model.support, model.ratio)
             assert edges.tobytes() == _union1d_edges(model.support, model.ratio).tobytes()

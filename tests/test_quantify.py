@@ -22,7 +22,7 @@ def pop_eval(model, q):
 def fixed_sample_evaluator(features, labels=None):
     features = np.asarray(features, dtype=float)
     labels = np.zeros(len(features), dtype=int) if labels is None else np.asarray(labels)
-    return qs.SampleEvaluator(qs.LabeledDataset(features, labels, (0, 0)))
+    return qs.SampleEvaluator(qs.LabeledDataset(features, labels))
 
 
 class TestClassifyAndCount:
@@ -119,6 +119,20 @@ class TestEmEstimate:
         est = qs.em_estimate(pop_eval(sqrt_test, 0.3), train.ratio)
         assert est.value == pytest.approx(0.3500, abs=5e-4)
         assert abs(est.value - 0.3) > 0.005
+
+    def test_sqrt_ratio_override_matches_the_oracle(self, train, sqrt_test, oracle_weights):
+        # the q = 0.01 cell of reference.GROUND_TRUTH_OVERRIDES, from the
+        # mpmath oracle of tests/oracle.py on the oracle's own q*
+        import oracle
+
+        q_star, _ = oracle_weights["sqrt_ratio"]
+        ratio = train.ratio
+        expected = oracle.em_root(0.5, 1.4, ratio.log_slope, ratio.log_offset, q_star, 0.01, -1.895)
+        est = qs.em_estimate(pop_eval(sqrt_test, 0.01), ratio)
+        assert abs(est.value - expected) <= 1e-9
+        override = qs.reference.GROUND_TRUTH_OVERRIDES[("sqrt_ratio", "EM", 0)]
+        for value in (expected, est.value):
+            assert round((value - 0.01) / 0.01, 4) == override
 
     def test_sample_solve_holds_two_arrays_of_its_size(self, train, traced_peak):
         # log R and one scratch array: c takes log R's storage
@@ -281,7 +295,7 @@ class TestSampleEvaluator:
     @example((np.array([0.0, 0.5, 2.0]), np.array([1, 1, 1]), qs.ThresholdClassifier(1.0, 0.5)))
     def test_rates_equal_the_mean_of_predictions(self, case):
         x, labels, clf = case
-        evaluator = qs.SampleEvaluator(qs.LabeledDataset(x, labels, (0, 0)))
+        evaluator = qs.SampleEvaluator(qs.LabeledDataset(x, labels))
         assert evaluator.predict_positive_rate(clf) == _old_rate(clf, x)
         expected = (_old_rate(clf, x[labels == 0]), _old_rate(clf, x[labels == 1]))
         assert evaluator.rates_by_class(clf) == expected
@@ -331,10 +345,9 @@ class TestPopulationEvaluator:
         assert evaluator.expect(lambda x: x) == pytest.approx(0.8 * 2.0, abs=1e-13)
 
     def test_with_prevalence_copies_share_one_node_build(self, node_builds, train):
-        derived = qs.ShiftScenario(qs.ShiftKind.INVARIANT_RATIO, train, 0.5)
         # a derived population's CDF tables and every evaluator share the
         # nodes its decomposition solved q* on
-        for make in (lambda: qs.binormal_population(qs.BinormalParams(), 0.5), lambda: qs.make_test_population(derived)):
+        for make in (lambda: qs.binormal_population(qs.BinormalParams(), 0.5), lambda: qs.make_test_population(qs.ShiftKind.INVARIANT_RATIO, train)):
             node_builds.clear()
             base = make()
             shifted = [base.with_prevalence(q) for q in (0.2, 0.7)]

@@ -59,10 +59,6 @@ class TestStratifiedSample:
         b = qs.stratified_sample(train, 500, qs.RngStream(42, 10))
         assert not np.array_equal(a.features, b.features)
 
-    def test_seed_record(self, train):
-        dataset = qs.stratified_sample(train, 10, qs.RngStream(42, 9))
-        assert dataset.seed_record == (42, 9)
-
     def test_argument_validation(self, train):
         with pytest.raises(ValueError):
             qs.stratified_sample(train, 0, qs.RngStream(1, 0))
@@ -161,8 +157,7 @@ class TestAcceptReject:
         # the class-0 conditional at theta = 2.95 has M = 5.06e4, and a cell of
         # the default 10,000 draws expects up to 5e8 proposals: the bound lets
         # it draw.  A target of M times the candidate accepts every proposal.
-        scenario = qs.ShiftScenario(qs.ShiftKind.INVARIANT_RATIO, train, 0.5, envelope_mean=2.95)
-        sampler = qs.make_test_population(scenario).sampler0
+        sampler = qs.make_test_population(qs.ShiftKind.INVARIANT_RATIO, train, envelope_mean=2.95).sampler0
         assert sampler.envelope_constant == pytest.approx(5.06e4, rel=1e-3)
         m, density = sampler.envelope_constant, sampler.candidate_density
         draws = replace(sampler, target=lambda x: m * density(x)).draw(qs.RngStream(1, 0), 10_000)
@@ -286,4 +281,4 @@ class TestNormalSampler:
 class TestLabeledDataset:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            qs.LabeledDataset(np.zeros(3), np.zeros(2, dtype=int), (0, 0))
+            qs.LabeledDataset(np.zeros(3), np.zeros(2, dtype=int))

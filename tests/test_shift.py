@@ -17,10 +17,10 @@ def envelope_window(invariant_test):
     return invariant_test.support
 
 
-def _edge_scenario(theta: float) -> qs.ShiftScenario:
+def _edge_population(theta: float) -> qs.PopulationModel:
     """Invariant ratio at sigma = 0.3 under a narrow envelope (tau = 0.5) at ``theta``."""
     train = qs.binormal_population(qs.BinormalParams(sigma=0.3), 0.5)
-    return qs.ShiftScenario(qs.ShiftKind.INVARIANT_RATIO, train, 0.5, envelope_mean=theta, envelope_sd=0.5)
+    return qs.make_test_population(qs.ShiftKind.INVARIANT_RATIO, train, envelope_mean=theta, envelope_sd=0.5)
 
 
 class TestDecomposeMixture:
@@ -87,7 +87,7 @@ class TestDecomposeMixture:
             return returned[-1]
 
         monkeypatch.setattr(shift, "decompose_mixture", recorded)
-        test = qs.make_test_population(qs.ShiftScenario(kind, train, 0.5))
+        test = qs.make_test_population(kind, train)
         ((_, _, h0, h1, nodes),) = returned
         expected = models.node_masses(test.support, test.ratio, h0, h1)
         assert len(nodes) == 3 and all(np.array_equal(a, b) for a, b in zip(nodes, expected))
@@ -128,10 +128,9 @@ class TestMixtureWeightOracle:
     def test_edge_weights(self, oracle_weights, theta):
         small, _ = oracle_weights["edge"]
         assert small == pytest.approx(3.3202115878251154e-16, rel=1e-13, abs=0.0)
-        scenario = _edge_scenario(theta)
-        test = qs.make_test_population(scenario)
+        test = _edge_population(theta)
         envelope = lambda x: normal_pdf(x, theta, 0.5)
-        q_star, q_complement, _, _, _ = qs.decompose_mixture(envelope, scenario.train.ratio, test.support)
+        q_star, q_complement, _, _, _ = qs.decompose_mixture(envelope, test.ratio, test.support)
         assert (q_star if theta > 1.0 else q_complement) == pytest.approx(small, rel=1e-13, abs=0.0)
         # the sampler's constant comes from the small weight itself, not 1 - q* rounded
         sampler = test.sampler0 if theta > 1.0 else test.sampler1
@@ -160,8 +159,8 @@ class TestEnvelopeMoments:
 
 class TestMakeTestPopulation:
     def test_prior_shift_keeps_conditionals(self, train):
-        scenario = qs.ShiftScenario(qs.ShiftKind.PRIOR_SHIFT, train, 0.3)
-        test = qs.make_test_population(scenario)
+        assert qs.make_test_population(qs.ShiftKind.PRIOR_SHIFT, train) is train
+        test = qs.make_test_population(qs.ShiftKind.PRIOR_SHIFT, train).with_prevalence(0.3)
         assert test.prevalence0 == 0.3
         assert test.f0 is train.f0 and test.f1 is train.f1
         assert test.cdf0 is train.cdf0 and test.cdf1 is train.cdf1
@@ -192,18 +191,17 @@ class TestMakeTestPopulation:
 
     def test_scenario_validation(self, train):
         with pytest.raises(ValueError):
-            qs.ShiftScenario(qs.ShiftKind.PRIOR_SHIFT, train, 1.0)
+            qs.make_test_population(qs.ShiftKind.PRIOR_SHIFT, train).with_prevalence(1.0)
         with pytest.raises(ValueError):
-            qs.ShiftScenario(qs.ShiftKind.PRIOR_SHIFT, train, 0.5, envelope_sd=0.0)
+            qs.make_test_population(qs.ShiftKind.PRIOR_SHIFT, train, envelope_sd=0.0)
         with pytest.raises(ValueError):
-            qs.ShiftScenario("covariate_shift", train, 0.5)
+            qs.make_test_population("covariate_shift", train)
 
     @pytest.mark.parametrize("kind", list(qs.ShiftKind))
     def test_string_kind_builds_as_its_enum(self, train, kind):
-        by_enum = qs.make_test_population(qs.ShiftScenario(kind, train, 0.5))
-        scenario = qs.ShiftScenario(kind.value, train, 0.5)
-        assert scenario.kind is kind
-        by_string = qs.make_test_population(scenario)
+        by_enum = qs.make_test_population(kind, train)
+        by_string = qs.make_test_population(kind.value, train)
+        assert by_string.ratio == by_enum.ratio
         for cdf in ("cdf0", "cdf1"):
             for x in (-2.0, 0.5, 1.0, 3.0):
                 assert getattr(by_string, cdf)(x) == getattr(by_enum, cdf)(x)
@@ -215,7 +213,7 @@ class TestMakeTestPopulation:
     # q* lies 3.3e-16 from 0 (theta = 3.5) or from 1 (theta = -1.5)
     @pytest.mark.parametrize("theta", [3.5, -1.5])
     def test_edge_envelope_builds(self, theta):
-        test = qs.make_test_population(_edge_scenario(theta))
+        test = _edge_population(theta)
         for cdf in (test.cdf0, test.cdf1):
             assert abs(cdf.total_mass - 1.0) <= 1e-9
 
@@ -225,13 +223,13 @@ class TestMakeTestPopulation:
         monkeypatch.setattr(models, "_WINDOW_PANELS", 2)
         monkeypatch.setattr(models, "_BAND_PANELS", 2)
         with pytest.raises(qs.UnresolvedMeasure, match="test conditionals have masses"):
-            qs.make_test_population(_edge_scenario(theta))
+            _edge_population(theta)
 
     # |mass - 1| stays below 5e-16 here
     @pytest.mark.parametrize("kind,sigma", [(qs.ShiftKind.INVARIANT_RATIO, 0.3), (qs.ShiftKind.SQRT_RATIO, 0.2)])
     def test_resolved_measure_builds(self, kind, sigma):
         train = qs.binormal_population(qs.BinormalParams(sigma=sigma), 0.5)
-        test = qs.make_test_population(qs.ShiftScenario(kind, train, 0.5))
+        test = qs.make_test_population(kind, train)
         for cdf in (test.cdf0, test.cdf1):
             assert abs(cdf.total_mass - 1.0) <= 1e-9
 
@@ -240,10 +238,8 @@ def _derived_run(kind: qs.ShiftKind, sigma: float) -> dict:
     """q*, the CDF masses and the population CDE-Iterate and ACC rows of a
     derived scenario at the default theta and tau."""
     train = qs.binormal_population(qs.BinormalParams(sigma=sigma), 0.5)
-    scenario = qs.ShiftScenario(kind, train, 0.5)
-    ratio = train.ratio.sqrt() if kind is qs.ShiftKind.SQRT_RATIO else train.ratio
-    test = qs.make_test_population(scenario)
-    q_star, _, _, _, _ = qs.decompose_mixture(default_envelope, ratio, test.support)
+    test = qs.make_test_population(kind, train)
+    q_star, _, _, _, _ = qs.decompose_mixture(default_envelope, test.ratio, test.support)
     config = qs.ExperimentConfig(scenario=kind, sigma=sigma, panels=("population",), outputs=("prevalence",))
     (table,) = qs.run_experiment(config)
     return {
