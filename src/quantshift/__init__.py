@@ -8,11 +8,9 @@ empirically against stratified Monte Carlo samples.
 from .classify import (
     ALWAYS_CLASS_0,
     ALWAYS_CLASS_1,
-    CostPair,
     ThresholdClassifier,
     adapt_threshold,
     bayes_classifier,
-    cost_weighted_error,
     weighted_bayes_classifier,
 )
 from .errors import ConfigError, NumericalFailure, QuantshiftError
@@ -77,7 +75,6 @@ __all__ = [
     "BinormalParams",
     "Bracket",
     "ConfigError",
-    "CostPair",
     "DegenerateClassifier",
     "DensityRatio",
     "EnvelopeViolation",
@@ -108,7 +105,6 @@ __all__ = [
     "binormal_density_ratio",
     "binormal_population",
     "cde_iterate",
-    "cost_weighted_error",
     "covariate_shift_identity_check",
     "decompose_mixture",
     "em_estimate",

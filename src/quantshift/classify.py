@@ -1,7 +1,8 @@
 """Cost-sensitive Bayes classifiers on one-dimensional features.
 
-One rule serves every estimator: decide class 0 on {a1 f1 < a0 f0}, with
-a0 = c0 q, a1 = c1 (1-q) at a class-0 prevalence q (:func:`adapt_threshold`).
+One rule serves every estimator: decide class 0 on {a1 f1 < a0 f0}
+(:func:`weighted_bayes_classifier`), with a0 = q, a1 = 1-q at a class-0
+prevalence q (:func:`adapt_threshold`).
 Every density ratio in scope is strictly monotone, so that set is a
 half-line and classifiers reduce to a feature-space cut point.
 The rate of class-0 decisions is then a CDF evaluation at the cut: exact for
@@ -18,20 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import PopulationModel
-
-
-@dataclass(frozen=True)
-class CostPair:
-    """Misclassification costs: c0 for 'predict 1 when truth is 0', c1 for the converse."""
-
-    c0: float = 1.0
-    c1: float = 1.0
-
-    def __post_init__(self):
-        if self.c0 < 0 or self.c1 < 0:
-            raise ValueError("costs must be nonnegative")
-        if self.c0 + self.c1 <= 0:
-            raise ValueError("at least one cost must be positive")
 
 
 @dataclass(frozen=True)
@@ -74,7 +61,9 @@ def weighted_bayes_classifier(train: PopulationModel, a0: float, a1: float) -> T
     """Minimizer of a0 P0[g=1] + a1 P1[g=0] over all classifiers.
 
     The decision set is {a1 f1 < a0 f0}, i.e. {R > a1/a0} in terms of the
-    density ratio; a0 = 0 or a1 = 0 yields the constant classifiers.
+    density ratio; a0 = 0 or a1 = 0 yields the constant classifiers.  At
+    prevalence q, with cost c0 for 'predict 1 when truth is 0' and c1 for the
+    converse, the cost-sensitive rule has a0 = c0 q, a1 = c1 (1-q).
     """
     if a0 < 0 or a1 < 0 or a0 + a1 <= 0:
         raise ValueError("weights must be nonnegative with a positive sum")
@@ -85,35 +74,23 @@ def weighted_bayes_classifier(train: PopulationModel, a0: float, a1: float) -> T
     return ThresholdClassifier(train.ratio.invert_threshold(a1 / a0), train.ratio.decreasing)
 
 
-def bayes_classifier(train: PopulationModel, costs: CostPair = CostPair()) -> ThresholdClassifier:
-    """Cost-sensitive Bayes classifier for the training distribution.
-
-    The rule adapted to the training prevalence; with c0 = c1 it is the
-    minimum-error rule, whose cut is where the training posterior is 1/2.
-    """
-    return adapt_threshold(train, train.prevalence0, costs)
+def bayes_classifier(train: PopulationModel) -> ThresholdClassifier:
+    """Minimum-error Bayes classifier for the training distribution: the rule
+    adapted to the training prevalence, whose cut is where the training
+    posterior is 1/2."""
+    return adapt_threshold(train, train.prevalence0)
 
 
-def adapt_threshold(
-    train: PopulationModel, estimated_test_prevalence0: float, costs: CostPair = CostPair()
-) -> ThresholdClassifier:
-    """Cost-sensitive Bayes classifier for a test prevalence q under prior shift.
+def adapt_threshold(train: PopulationModel, estimated_test_prevalence0: float) -> ThresholdClassifier:
+    """Minimum-error Bayes classifier for a test prevalence q under prior shift.
 
-    The test cost c0 q P0[g=1] + c1 (1-q) P1[g=0] is minimized by the
-    weighted rule with a0 = c0 q, a1 = c1 (1-q).  Estimates at or beyond the
-    boundaries give the constant classifiers, so out-of-range inputs are legal.
+    The test error q P0[g=1] + (1-q) P1[g=0] is minimized by the weighted
+    rule with a0 = q, a1 = 1-q.  Estimates at or beyond the boundaries give
+    the constant classifiers, so out-of-range inputs are legal.
     """
     q = estimated_test_prevalence0
     if q <= 0.0:
         return ALWAYS_CLASS_1
     if q >= 1.0:
         return ALWAYS_CLASS_0
-    return weighted_bayes_classifier(train, costs.c0 * q, costs.c1 * (1.0 - q))
-
-
-def cost_weighted_error(train: PopulationModel, clf: ThresholdClassifier, costs: CostPair) -> float:
-    """Expected cost c0 P[g=1, Y=0] + c1 P[g=0, Y=1] on the training population."""
-    p = train.prevalence0
-    rate0 = clf.rate_class0(train.cdf0)
-    rate1 = clf.rate_class0(train.cdf1)
-    return costs.c0 * p * (1.0 - rate0) + costs.c1 * (1.0 - p) * rate1
+    return weighted_bayes_classifier(train, q, 1.0 - q)

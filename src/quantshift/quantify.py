@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .classify import ThresholdClassifier, weighted_bayes_classifier
+from .classify import ThresholdClassifier, adapt_threshold
 from .errors import NumericalFailure
 from .models import DensityRatio, PopulationModel
 from .numerics import solve_prior_equation
@@ -186,29 +186,27 @@ def cde_iterate(
 ) -> PrevalenceEstimate:
     """Iterated cost-sensitive reclassification (CDE-Iterate).
 
-    Starting from equal weights, each step adapts the Bayes classifier to
-    its own iterate q_k (weights (q_k, 1 - q_k), the equal-cost
-    :func:`~quantshift.classify.adapt_threshold`) and takes that
-    classifier's class-0 rate as q_{k+1}.  The iterate sequence is
-    monotone and converges; iteration stops once successive iterates differ
-    by at most ``tol`` or ``max_iter`` iterates have been computed.  The full
-    trace is returned: trace[0] is plain Classify & Count.
+    The sequence starts at the training prevalence q_0.  Each step adapts the
+    training Bayes rule to the current iterate, ``adapt_threshold(train, q_k)``,
+    and takes that classifier's class-0 rate as q_{k+1}.  The iterate
+    sequence is monotone and converges; iteration stops once successive
+    iterates differ by at most ``tol`` or ``max_iter`` iterates have been
+    computed.  The full trace q_1, q_2, ... is returned: trace[0] is plain
+    Classify & Count with :func:`~quantshift.classify.bayes_classifier`.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    a0, a1 = 1.0, 1.0
+    q_k = train.prevalence0
     trace: list[float] = []
     status = EstimateStatus.MAX_ITERATIONS
     for k in range(max_iter):
-        clf = weighted_bayes_classifier(train, a0, a1)
-        q_k = evaluator.predict_positive_rate(clf)
+        q_k = evaluator.predict_positive_rate(adapt_threshold(train, q_k))
         trace.append(q_k)
         if k >= 1 and abs(trace[-1] - trace[-2]) <= tol:
             status = EstimateStatus.CONVERGED
             break
-        a0, a1 = q_k, 1.0 - q_k
     return PrevalenceEstimate(trace[-1], status, tuple(trace))
 
 
@@ -222,5 +220,4 @@ def fixed_point_residual(
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie strictly between 0 and 1")
-    clf = weighted_bayes_classifier(train, q, 1.0 - q)
-    return evaluator.predict_positive_rate(clf) - q
+    return evaluator.predict_positive_rate(adapt_threshold(train, q)) - q

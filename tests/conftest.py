@@ -82,6 +82,12 @@ def threshold_classifiers(features):
     )
 
 
+def cost_error(model, clf, c0, c1):
+    """Expected cost c0 P[g=1, Y=0] + c1 P[g=0, Y=1] of ``clf`` on ``model``."""
+    p = model.prevalence0
+    return c0 * p * (1.0 - clf.rate_class0(model.cdf0)) + c1 * (1.0 - p) * clf.rate_class0(model.cdf1)
+
+
 @pytest.fixture(scope="session")
 def train():
     """Default training population: binormal (0, 2, 1) at prevalence 0.5."""

@@ -29,6 +29,8 @@ from quantshift.quantify import PopulationEvaluator, SampleEvaluator
 from quantshift.sampling import RejectionSampler
 from quantshift.shift import ShiftKind
 
+from conftest import cost_error
+
 GRID = reference.PREVALENCE_GRID
 SEED = 42
 N = 10_000
@@ -458,15 +460,14 @@ def test_criterion_9_bayes_optimality_oracle(train):
     rng = np.random.default_rng(2718)
     worst_margin = 0.0
     for _ in range(20):
-        costs = qs.CostPair(float(rng.uniform(0.05, 3.0)), float(rng.uniform(0.05, 3.0)))
+        c0, c1 = float(rng.uniform(0.05, 3.0)), float(rng.uniform(0.05, 3.0))
         model = train.with_prevalence(float(rng.uniform(0.05, 0.95)))
-        clf = qs.bayes_classifier(model, costs)
-        best = qs.cost_weighted_error(model, clf, costs)
+        p = model.prevalence0
+        clf = qs.weighted_bayes_classifier(model, c0 * p, c1 * (1.0 - p))
+        best = cost_error(model, clf, c0, c1)
         for cut in np.linspace(-6.0, 8.0, 200):
             alternative = qs.ThresholdClassifier(cut=float(cut))
-            worst_margin = min(
-                worst_margin, qs.cost_weighted_error(model, alternative, costs) - best
-            )
+            worst_margin = min(worst_margin, cost_error(model, alternative, c0, c1) - best)
     ok = worst_margin >= -1e-12
     report("criterion 9: Bayes-optimality oracle", ok, f"worst margin {worst_margin:.2e}")
 

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 import quantshift as qs
 from quantshift.classify import ALWAYS_CLASS_0, ALWAYS_CLASS_1
 
-from conftest import FEATURES, threshold_classifiers
+from conftest import FEATURES, cost_error, threshold_classifiers
 
 
 class TestBayesClassifier:
     def test_symmetric_midpoint(self, train):
-        clf = qs.bayes_classifier(train, qs.CostPair(1.0, 1.0))
+        clf = qs.weighted_bayes_classifier(train, 0.5, 0.5)
         assert clf.cut == pytest.approx(1.0, abs=1e-15)
         assert clf.class0_below
         assert qs.posterior(train, clf.cut) == pytest.approx(0.5, abs=1e-15)
@@ -29,36 +29,30 @@ class TestBayesClassifier:
         assert clf.cut == pytest.approx(0.191, abs=5e-4)
 
     def test_brute_force_optimality(self, train):
-        costs = qs.CostPair(1.0, 1.0)
-        clf = qs.bayes_classifier(train, costs)
-        best = qs.cost_weighted_error(train, clf, costs)
+        clf = qs.weighted_bayes_classifier(train, 0.5, 0.5)
+        best = cost_error(train, clf, 1.0, 1.0)
         for cut in np.linspace(-4.0, 6.0, 50):
             alternative = qs.ThresholdClassifier(cut=float(cut))
-            assert best <= qs.cost_weighted_error(train, alternative, costs) + 1e-12
+            assert best <= cost_error(train, alternative, 1.0, 1.0) + 1e-12
 
     def test_random_costs_optimality(self, train):
         rng = np.random.default_rng(7)
         for _ in range(5):
-            costs = qs.CostPair(*rng.uniform(0.05, 3.0, size=2))
+            c0, c1 = rng.uniform(0.05, 3.0, size=2)
             p = float(rng.uniform(0.05, 0.95))
             model = train.with_prevalence(p)
-            clf = qs.bayes_classifier(model, costs)
-            best = qs.cost_weighted_error(model, clf, costs)
+            clf = qs.weighted_bayes_classifier(model, c0 * p, c1 * (1.0 - p))
+            best = cost_error(model, clf, c0, c1)
             for cut in np.linspace(-5.0, 7.0, 80):
                 alternative = qs.ThresholdClassifier(cut=float(cut))
-                assert best <= qs.cost_weighted_error(model, alternative, costs) + 1e-12
+                assert best <= cost_error(model, alternative, c0, c1) + 1e-12
 
     def test_degenerate_weights(self, train):
         assert qs.weighted_bayes_classifier(train, 0.0, 1.0) is ALWAYS_CLASS_1
         assert qs.weighted_bayes_classifier(train, 1.0, 0.0) is ALWAYS_CLASS_0
-        with pytest.raises(ValueError):
-            qs.weighted_bayes_classifier(train, 0.0, 0.0)
-
-    def test_cost_pair_validation(self):
-        with pytest.raises(ValueError):
-            qs.CostPair(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            qs.CostPair(0.0, 0.0)
+        for a0, a1 in ((0.0, 0.0), (-1.0, 1.0), (1.0, -1.0)):
+            with pytest.raises(ValueError):
+                qs.weighted_bayes_classifier(train, a0, a1)
 
 
 class TestAdaptThreshold:
@@ -70,7 +64,7 @@ class TestAdaptThreshold:
         adapted = qs.adapt_threshold(train, 0.5)
         baseline = qs.bayes_classifier(train)
         assert qs.posterior(train, adapted.cut) == pytest.approx(0.5, abs=1e-15)
-        assert adapted.cut == pytest.approx(baseline.cut, abs=1e-12)
+        assert adapted == baseline
 
     def test_boundary_estimates_give_constant_classifiers(self, train):
         assert qs.adapt_threshold(train, 0.0) is ALWAYS_CLASS_1
@@ -92,19 +86,20 @@ class TestAdaptThreshold:
     def test_adaptation_with_true_prevalence_is_optimal(self, train):
         # under prior probability shift, adapting to the exact test prevalence
         # minimizes the test cost over all cut points, for equal and unequal
-        # costs; adapting to the training prevalence is the Bayes classifier
+        # costs; with equal costs the weighted rule is adapt_threshold
         rng = np.random.default_rng(7)
-        cost_pairs = [qs.CostPair(1.0, 1.0)]
-        cost_pairs += [qs.CostPair(*rng.uniform(0.05, 3.0, size=2)) for _ in range(5)]
-        for costs in cost_pairs:
-            assert qs.adapt_threshold(train, train.prevalence0, costs) == qs.bayes_classifier(train, costs)
+        cost_pairs = [(1.0, 1.0)]
+        cost_pairs += [tuple(rng.uniform(0.05, 3.0, size=2)) for _ in range(5)]
+        for c0, c1 in cost_pairs:
             for q in (0.05, 0.3, 0.7):
                 test = train.with_prevalence(q)
-                adapted = qs.adapt_threshold(train, q, costs)
-                best = qs.cost_weighted_error(test, adapted, costs)
+                adapted = qs.weighted_bayes_classifier(train, c0 * q, c1 * (1.0 - q))
+                if c0 == c1 == 1.0:
+                    assert adapted == qs.adapt_threshold(train, q)
+                best = cost_error(test, adapted, c0, c1)
                 for cut in np.linspace(-5.0, 7.0, 200):
                     alternative = qs.ThresholdClassifier(cut=float(cut))
-                    assert best <= qs.cost_weighted_error(test, alternative, costs) + 1e-12
+                    assert best <= cost_error(test, alternative, c0, c1) + 1e-12
 
 
 class TestClassify:

@@ -27,7 +27,7 @@ def fixed_sample_evaluator(features, labels=None):
 
 class TestClassifyAndCount:
     # Classify & Count is the first CDE-Iterate iterate: the class-0 rate of
-    # the equal-cost Bayes classifier
+    # the training Bayes classifier
     def test_prior_shift_small_prevalence(self, train):
         evaluator = pop_eval(train, 0.01)
         cc = qs.cde_iterate(train, evaluator).trace[0]
@@ -218,6 +218,8 @@ class TestFisherConsistencyUnderPriorShift:
             # the adjustment divides the rounding of the rates by tpr - fpr,
             # which is 1.5e-5 at the narrowest gap with p = 0.1 or 0.9
             assert abs(qs.acc_estimate(evaluator, clf, tpr, fpr).value - q) <= 1e-15 / (tpr - fpr)
+            # CDE-Iterate starts from Classify & Count with the training Bayes rule
+            assert qs.cde_iterate(train, evaluator, max_iter=1).trace[0] == evaluator.predict_positive_rate(clf)
             residual = qs.fixed_point_residual(train, evaluator, q)
             if q == 0.5:
                 assert residual == 0.0
