@@ -5,11 +5,12 @@ random-number streams.
 Everything in this module is pure given its inputs.  The random stream is a
 small explicit generator (splitmix64) implemented here so that sampled results
 are bit-reproducible independently of any library RNG: uniforms on every
-platform, gaussians wherever libm's log/cos/sin agree and numpy's float64
-cos/sin equal libm's.  The block gaussian path takes log from the long double,
-calling ``math.log`` only near a float64 rounding midpoint (see ``_EXTENDED``),
-and cos/sin from numpy, which on the Box-Muller angles 2*pi*k*2**-53 rounds as
-libm does (``tests/test_numerics.py`` checks both on the running platform).
+platform, gaussians wherever libm's log/cos/sin agree and numpy computes
+them as libm does.  The block gaussian path takes log from numpy's scalar
+float64 loop, which calls libm's ``log``, through a reversed view (see
+``_log``), and cos/sin from numpy, which on the Box-Muller angles
+2*pi*k*2**-53 rounds as libm does (``tests/test_numerics.py`` checks both on
+the running platform).
 """
 
 from __future__ import annotations
@@ -274,13 +275,6 @@ _TWO_PI = 2.0 * math.pi
 # words) at a time, which bounds their temporary memory.
 _BLOCK_PAIRS = 4096
 
-# numpy's float64 log rounds otherwise than libm's (on 0.35% of uniforms with
-# numpy 2.4.6).  The 80-bit long double of x86-64 keeps 11 more significand
-# bits, the low bits of its first 8 bytes.  Where they lie more than 61/2048 ulp
-# from a float64 rounding midpoint, logl rounds to the correctly rounded log, as
-# does glibc's log (< 0.52 ulp); ``_log`` sends only the rest to ``math.log``.
-_EXTENDED = np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize == 16
-
 
 def _mix64(z: int) -> int:
     # splitmix64 finalizer (Steele, Lea & Flood)
@@ -300,20 +294,16 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _libm(fn, values: np.ndarray) -> np.ndarray:
-    # one ``math`` call per element, exactly as the scalar path makes it
-    return np.fromiter(map(fn, values.tolist()), dtype=float, count=len(values))
-
-
 def _log(u: np.ndarray) -> np.ndarray:
-    """``math.log`` of each element, bit for bit (see ``_EXTENDED``)."""
-    if not _EXTENDED:
-        return _libm(math.log, u)
-    ext = np.log(u.astype(np.longdouble))
-    out = ext.astype(float)
-    near = ((ext.view(np.uint64)[0::2] - np.uint64(1024 - 61)) & np.uint64(0x7FF)) <= 2 * 61
-    out[near] = _libm(math.log, u[near])
-    return out
+    """``math.log`` of each element, bit for bit.
+
+    numpy's SIMD float64 log rounds otherwise than libm's on about 0.35% of
+    uniforms, and numpy 2.4 takes it only where the input stride is not
+    negative.  On a reversed view numpy runs its scalar loop, which calls
+    libm's ``log``.  The result is reversed afterwards: writing into a reversed
+    ``out`` as well would let numpy flip both strides and take the SIMD loop.
+    """
+    return np.log(u[::-1])[::-1]
 
 
 def _box_muller(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

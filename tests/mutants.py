@@ -43,6 +43,20 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant(
+        "contiguous numpy log",
+        "src/quantshift/numerics.py",
+        "    return np.log(u[::-1])[::-1]\n",
+        "    return np.log(u)\n",
+        ("tests/test_numerics.py::TestBlockLog::test_equals_math_log_where_numpy_log_does_not",),
+    ),
+    Mutant(
+        "reversed input and reversed out",
+        "src/quantshift/numerics.py",
+        "    return np.log(u[::-1])[::-1]\n",
+        "    out = np.empty_like(u)\n    np.log(u[::-1], out=out[::-1])\n    return out\n",
+        ("tests/test_numerics.py::TestBlockLog::test_equals_math_log_where_numpy_log_does_not",),
+    ),
+    Mutant(
         "unscaled g^2 in the Newton slope",
         "src/quantshift/numerics.py",
         "        np.multiply(g, g, out=g)\n        slope = _weighted_sum(g, weights)\n",
@@ -88,8 +102,11 @@ MUTANTS = (
         "src/quantshift/sampling.py",
         "        if expected > _MAX_EXPECTED_PROPOSALS:\n",
         "        if False:\n",
-        # without the bound the draw runs on; the test's 5 s deadline fails it
-        ("tests/test_experiment.py::TestBoundedTime::test_invariant_ratio_edge_envelope[3.5-both-2]",),
+        # without the bound the draw runs on; each test's 5 s deadline fails it
+        (
+            "tests/test_sampling.py::TestAcceptReject::test_proposal_budget_raises_before_drawing",
+            "tests/test_experiment.py::TestBoundedTime::test_invariant_ratio_edge_envelope[3.5-both-2]",
+        ),
     ),
     Mutant(
         "no zero-u1 stop in the block sampler",

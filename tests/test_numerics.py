@@ -5,7 +5,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quantshift import numerics
 from quantshift.numerics import (
     Bracket,
     NonFinite,
@@ -14,7 +13,6 @@ from quantshift.numerics import (
     RngStream,
     UnresolvedMeasure,
     _box_muller,
-    _libm,
     _log,
     _mix64,
     find_root_bracketed,
@@ -44,6 +42,12 @@ def _unmix64(z: int) -> int:
     z = _unxorshift(z, 27)
     z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & _MASK64
     return _unxorshift(z, 30)
+
+
+def _libm(fn, values: np.ndarray) -> np.ndarray:
+    """The oracle for the block path: one ``math`` call per element, exactly
+    as the scalar path makes it."""
+    return np.fromiter(map(fn, values.tolist()), dtype=float, count=len(values))
 
 
 def _assert_block_matches_scalar(make_stream, n: int) -> None:
@@ -429,25 +433,18 @@ class TestBlockLog:
         assert wrong.any()
         assert _log(u[wrong]).tobytes() == want[wrong].tobytes()
 
-    @pytest.mark.parametrize("name", ["stream", "edges", "powers"])
-    def test_without_the_long_double_every_element_goes_to_libm(self, log_inputs, monkeypatch, name):
-        u, want = log_inputs[name]
-        extended = _log(u)
-        monkeypatch.setattr(numerics, "_EXTENDED", False)
-        assert _log(u).tobytes() == extended.tobytes() == want.tobytes()
-
-    @pytest.mark.skipif(not numerics._EXTENDED, reason="the midpoint test needs the 80-bit long double")
-    def test_libm_sees_only_the_elements_near_a_midpoint(self, monkeypatch):
+    def test_gaussians_make_no_math_log_call(self, monkeypatch):
         # a deterministic work counter: a block path that fell back to one
-        # math.log call per element would send all 1,000,000 u1 uniforms
-        sent = []
+        # math.log call per element would make 1,000,000 of them here
+        calls = []
+        log = math.log
 
-        def counting_libm(fn, values):
-            sent.append(values.size)
-            return _libm(fn, values)
+        def counting_log(x):
+            calls.append(x)
+            return log(x)
 
-        monkeypatch.setattr(numerics, "_libm", counting_libm)
+        monkeypatch.setattr(math, "log", counting_log)
         stream = RngStream(42, 7)
         stream.gaussians(2_000_000)
         assert stream.words_drawn == 2_000_000
-        assert sum(sent) == 60_200 <= 100_000
+        assert len(calls) == 0

@@ -150,7 +150,8 @@ class TestAcceptReject:
         stream = qs.RngStream(1, 0)
         stream.next_uniform()
         with pytest.raises(SamplingBudgetExceeded, match="101 accept-reject draws expect 1.01e\\+12 proposals"):
-            sampler.draw(stream, 101)
+            with deadline(5.0):
+                sampler.draw(stream, 101)
         assert stream.words_drawn == 1
 
     def test_proposal_budget_admits_edge_cells(self, train):
