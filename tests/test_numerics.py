@@ -425,6 +425,18 @@ class TestBlockLog:
         differ = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
         assert differ.size == 0, f"_log != math.log at {differ.size} inputs, first {u[differ[0]]!r}"
 
+    @pytest.mark.parametrize("step", [2, 4])
+    @pytest.mark.parametrize("name", ["stream", "edges", "powers"])
+    def test_equals_math_log_on_a_strided_view(self, log_inputs, name, step):
+        # the samplers pass u1 as every 2nd (gaussians) or every 4th
+        # (accept-reject) word of a block, never a contiguous array
+        u, want = log_inputs[name]
+        block = np.zeros(step * u.size)
+        block[::step] = u
+        got = _log(block[::step])
+        differ = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+        assert differ.size == 0, f"_log != math.log at {differ.size} inputs, first {u[differ[0]]!r}"
+
     def test_equals_math_log_where_numpy_log_does_not(self, log_inputs):
         # 6,928 of these 2,000,000 uniforms with numpy 2.4.6; an empty set
         # would leave this test checking nothing
