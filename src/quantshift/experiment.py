@@ -263,15 +263,12 @@ def _estimates_for_cell(setup: ScenarioSetup, evaluator, tpr: float, fpr: float)
     }
 
 
-def _metric_value(metric: str, true_q: float, estimate: float, evaluator, setup: ScenarioSetup) -> float:
+def _metric_value(metric: str, true_q: float, estimate: float, prevalence0: float, rates) -> float:
     if metric == "prevalence":
         return estimate
     if metric == "relative_error":
         return relative_error(true_q, estimate)
-    adapted = adapt_threshold(setup.train, estimate)
-    if metric == "accuracy":
-        return accuracy(evaluator, adapted)
-    return f_measure(evaluator, adapted)
+    return (accuracy if metric == "accuracy" else f_measure)(prevalence0, *rates)
 
 
 def _panel_cells(setup: ScenarioSetup, panel: str) -> dict[str, list[list[float]]]:
@@ -280,6 +277,7 @@ def _panel_cells(setup: ScenarioSetup, panel: str) -> dict[str, list[list[float]
     grid = config.test_prevalence_grid
     per_metric = {m: [[0.0] * len(grid) for _ in ROW_LABELS] for m in config.outputs}
     repetitions = _repetitions(config, panel)
+    adapts = not {"accuracy", "f_measure"}.isdisjoint(config.outputs)
 
     for rep in range(repetitions):
         evaluate = partial(_evaluator, setup, panel, rep)
@@ -288,9 +286,12 @@ def _panel_cells(setup: ScenarioSetup, panel: str) -> dict[str, list[list[float]
         for j, q in enumerate(grid):
             evaluator = evaluate(setup.test_conditionals.with_prevalence(q), 1 + j)
             estimates = _estimates_for_cell(setup, evaluator, tpr, fpr)
-            for metric in config.outputs:
-                for i, label in enumerate(ROW_LABELS):
-                    value = _metric_value(metric, q, estimates[label], evaluator, setup)
+            for i, label in enumerate(ROW_LABELS):
+                estimate = estimates[label]
+                # accuracy and F-measure share one adapted classifier and one read of its rates
+                rates = evaluator.rates_by_class(adapt_threshold(setup.train, estimate)) if adapts else None
+                for metric in config.outputs:
+                    value = _metric_value(metric, q, estimate, evaluator.prevalence0, rates)
                     per_metric[metric][i][j] += value / repetitions
             # free this cell's sample before the next one is drawn
             del evaluator

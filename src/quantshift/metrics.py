@@ -1,5 +1,7 @@
-"""Evaluation metrics for prevalence estimates and adapted classifiers:
-relative error, classification accuracy, and F-measure.
+"""Evaluation metrics: the relative error of a prevalence estimate, and the
+classification accuracy and F-measure of an adapted classifier as formulas in
+the class-0 prevalence q and its class rates rate0 = Q[g=0|Y=0] and
+rate1 = Q[g=0|Y=1], an evaluator's ``prevalence0`` and ``rates_by_class``.
 
 An undefined F-measure (classifier never predicts class 0, so precision has
 an empty condition) is reported as NaN and rendered as the literal text
@@ -22,25 +24,21 @@ def relative_error(true_q: float, est_q: float) -> float:
     return abs(est_q - true_q) / min(true_q, 1.0 - true_q)
 
 
-def accuracy(evaluator, clf) -> float:
+def accuracy(q: float, rate0: float, rate1: float) -> float:
     """Probability of a correct decision, q * Q[g=0|Y=0] + (1-q) * Q[g=1|Y=1].
 
-    Works against either evaluator backend; on samples the class-conditional
-    rates are empirical, so this equals the plain fraction of matches.
+    On a sample the class rates are counts, so this equals the plain fraction
+    of matches.
     """
-    rate0, rate1 = evaluator.rates_by_class(clf)
-    q = evaluator.prevalence0
     return q * rate0 + (1.0 - q) * (1.0 - rate1)
 
 
-def f_measure(evaluator, clf) -> float:
+def f_measure(q: float, rate0: float, rate1: float) -> float:
     """Harmonic mean of recall Q[g=0|Y=0] and precision Q[Y=0|g=0].
 
     Returns NaN when the classifier never predicts class 0 (precision is then
     undefined); returns 0.0 when predictions and truth never overlap.
     """
-    rate0, rate1 = evaluator.rates_by_class(clf)
-    q = evaluator.prevalence0
     predicted0 = q * rate0 + (1.0 - q) * rate1
     if predicted0 <= 0.0:
         return math.nan

@@ -10,8 +10,9 @@ half-lines, so on both backends a rate is a CDF evaluated at the cut.  A
 class-conditional CDFs, and the measure from the node measure the model
 carries (``PopulationModel.nodes``).  A :class:`SampleEvaluator` answers from
 the features of a sample, each weighted 1/n, and takes a rate as the count
-of features on the class-0 side of the cut.  Neither evaluator keeps state,
-and estimators never look at test labels through either backend.
+of features on the class-0 side of the cut; a class rate counts within the
+sample's class slice.  Neither evaluator keeps state, and estimators never
+look at a test sample's classes through either backend.
 """
 
 from __future__ import annotations
@@ -96,8 +97,9 @@ class SampleEvaluator:
     (:meth:`~quantshift.classify.ThresholdClassifier.count_class0`), divided
     by the number counted.  The quantification surface
     (``predict_positive_rate``, ``measure``, ``expect``) reads features only.
-    Label-dependent queries (``rates_by_class``, ``prevalence0``, used by
-    evaluation metrics) count within each class of the labels.
+    The class queries of the evaluation metrics read the class-0 count n0:
+    ``prevalence0`` is n0 / n, and ``rates_by_class`` counts one decision
+    mask on the class slices ``[:n0]`` and ``[n0:]``.
     """
 
     def __init__(self, dataset: LabeledDataset):
@@ -116,18 +118,13 @@ class SampleEvaluator:
 
     @property
     def prevalence0(self) -> float:
-        return np.count_nonzero(np.asarray(self.dataset.labels) == 0) / len(self._features)
+        return self.dataset.n0 / len(self._features)
 
     def rates_by_class(self, clf: ThresholdClassifier) -> tuple[float, float]:
         """(Q[g=0 | Y=0], Q[g=0 | Y=1]) as counts per class; an empty class gives 0.0."""
-        labels = np.asarray(self.dataset.labels)
+        n0 = self.dataset.n0
         decided0 = clf.decides_class0(self._features)
-        rates = []
-        for cls in (0, 1):
-            in_class = labels == cls
-            size = np.count_nonzero(in_class)
-            rates.append(np.count_nonzero(decided0 & in_class) / size if size else 0.0)
-        return rates[0], rates[1]
+        return tuple(np.count_nonzero(c) / len(c) if len(c) else 0.0 for c in (decided0[:n0], decided0[n0:]))
 
 
 def training_rates(train: PopulationModel, clf: ThresholdClassifier) -> tuple[float, float]:

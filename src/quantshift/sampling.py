@@ -1,9 +1,11 @@
 """Stratified dataset generation from population models.
 
-Normal class conditionals are sampled exactly; derived (non-normal)
-conditionals are sampled by accept-reject from their mixture envelope.
-Every sampling call owns its random stream, so datasets are reproducible
-byte-for-byte from (seed, stream_id).
+A dataset is its features in class order and its class-0 count n0: the
+first n0 features are class 0 and the rest class 1, so a class is a slice
+and no label array is kept.  Normal class conditionals are sampled exactly;
+derived (non-normal) conditionals are sampled by accept-reject from their
+mixture envelope.  Every sampling call owns its random stream, so datasets
+are reproducible byte-for-byte from (seed, stream_id).
 """
 
 from __future__ import annotations
@@ -33,14 +35,14 @@ class SamplingBudgetExceeded(NumericalFailure, RuntimeError):
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Features with binary labels."""
+    """Features in class order: ``features[:n0]`` are class 0 and ``features[n0:]`` class 1."""
 
     features: np.ndarray
-    labels: np.ndarray
+    n0: int
 
     def __post_init__(self):
-        if len(self.features) != len(self.labels):
-            raise ValueError("features and labels must have equal length")
+        if not 0 <= self.n0 <= len(self.features):
+            raise ValueError("n0 must lie between 0 and the number of features")
 
     def __len__(self) -> int:
         return len(self.features)
@@ -51,7 +53,7 @@ def _round_half_up(value: float) -> int:
 
 
 def stratified_sample(pop: PopulationModel, n: int, stream: RngStream) -> LabeledDataset:
-    """Draw n instances with exactly round(n * prevalence0) class-0 labels.
+    """Draw n instances, of which exactly n0 = round(n * prevalence0) are class 0.
 
     Class-0 features are drawn first, then class-1, from the same stream, so
     the dataset is a pure function of (pop, n, stream identity).  Above
@@ -65,13 +67,11 @@ def stratified_sample(pop: PopulationModel, n: int, stream: RngStream) -> Labele
     n0 = _round_half_up(n * pop.prevalence0)
     try:
         features = np.empty(n)
-        labels = np.zeros(n, dtype=np.int8)
     except MemoryError as exc:
         raise SamplingBudgetExceeded(f"a sample of {n} does not fit in memory: {exc}") from exc
     pop.sampler0.draw(stream, n0, features[:n0])
     pop.sampler1.draw(stream, n - n0, features[n0:])
-    labels[n0:] = 1
-    return LabeledDataset(features, labels)
+    return LabeledDataset(features, n0)
 
 
 def _violation(x: float, t: float, bound: float, envelope_constant: float) -> EnvelopeViolation:

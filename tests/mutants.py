@@ -91,6 +91,27 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "no convergence exit",
+        "src/quantshift/numerics.py",
+        "        if abs(last_step) <= tol * x:\n            break\n",
+        "        if False:\n            break\n",
+        ("tests/test_numerics.py::TestPriorEquationSolver::test_roots_far_below_any_floor",),
+    ),
+    Mutant(
+        "a log-sum-exp over log R alone",
+        "src/quantshift/numerics.py",
+        "    g = np.add(log_w, log_r, out=np.empty_like(log_r))\n",
+        "    g = log_r.copy()\n",
+        ("tests/test_numerics.py::TestPriorEquationSolver::test_zero_weights_at_the_peak_do_not_decide_the_moments",),
+    ),
+    Mutant(
+        "no bisection safeguard",
+        "src/quantshift/numerics.py",
+        "        if abs(step) > tol * x and (not lo < nxt < hi or abs(step) > 0.5 * abs(last_step)):\n",
+        "        if False:\n",
+        ("tests/test_numerics.py::TestPriorEquationSolver::test_roots_far_below_any_floor",),
+    ),
+    Mutant(
         "sampler 1's constant from 1 - q*",
         "src/quantshift/shift.py",
         "sampler1=RejectionSampler(h1, proposal, h_star, 1.0 / q_complement),",
@@ -126,11 +147,39 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "violation checked past the last proposal used",
+        "src/quantshift/sampling.py",
+        "        violations = np.flatnonzero(t[: last + 1] > bound[: last + 1] * _ENVELOPE_SLACK)\n",
+        "        violations = np.flatnonzero(t > bound * _ENVELOPE_SLACK)\n",
+        ("tests/test_sampling.py::TestRejectionSamplerBlocks::test_no_violation_after_the_last_proposal_used",),
+    ),
+    Mutant(
+        "wrong accept-word count",
+        "src/quantshift/sampling.py",
+        "stream._advance(4 * pair + 2 + odd + (not violations.size) - drawn)",
+        "stream._advance(4 * pair + 2 + odd - drawn)",
+        ("tests/test_sampling.py::TestRejectionSamplerBlocks::test_blocks_without_acceptances",),
+    ),
+    Mutant(
         "a label read in the label-blind path",
         "src/quantshift/quantify.py",
         "        return clf.count_class0(self._features) / len(self._features)\n",
-        "        return clf.count_class0(self._features) / len(self.dataset.labels)\n",
+        "        return clf.count_class0(self._features) / (self.dataset.n0 + len(self._features[self.dataset.n0 :]))\n",
         ("tests/test_quantify.py::TestSampleEvaluator::test_quantifiers_never_read_labels",),
+    ),
+    Mutant(
+        "class-1 slice starts one early",
+        "src/quantshift/quantify.py",
+        "decided0[n0:]",
+        "decided0[n0 - 1 :]",
+        ("tests/test_quantify.py::TestSampleEvaluator::test_rates_equal_the_mean_of_predictions",),
+    ),
+    Mutant(
+        "accuracy counts class-1 decisions as correct",
+        "src/quantshift/metrics.py",
+        "    return q * rate0 + (1.0 - q) * (1.0 - rate1)\n",
+        "    return q * rate0 + (1.0 - q) * rate1\n",
+        ("tests/test_metrics.py::TestAccuracy::test_min_error_classifier_at_half",),
     ),
     Mutant(
         "CDE-Iterate starts at prevalence 1/2",

@@ -183,7 +183,7 @@ def sample_run(train, populations):
 
 def _dataset_digest(dataset) -> tuple[str, int]:
     features = np.ascontiguousarray(dataset.features, dtype="<f8")
-    return hashlib.sha256(features.tobytes()).hexdigest(), int(np.sum(dataset.labels == 0))
+    return hashlib.sha256(features.tobytes()).hexdigest(), dataset.n0
 
 
 def test_sampled_datasets_match_golden_digests(sample_run):
@@ -402,9 +402,9 @@ def test_criterion_8_sample_panels(train, population_run, sample_run):
     # (b) stratified class counts are exact
     counts_ok = True
     for data in sample_run["data"].values():
-        counts_ok &= int(np.sum(data["train_sample"].labels == 0)) == round(N * 0.5)
+        counts_ok &= data["train_sample"].n0 == round(N * 0.5)
         for q, dataset in zip(GRID, data["datasets"]):
-            counts_ok &= int(np.sum(dataset.labels == 0)) == round(N * q)
+            counts_ok &= dataset.n0 == round(N * q)
 
     # (c) accept-reject acceptance rates within 0.02 of 1/M; a proposal takes
     # two words (a Box-Muller pair serves two, each with its accept word)
@@ -428,8 +428,9 @@ def test_criterion_8_sample_panels(train, population_run, sample_run):
     for data in sample_run["data"].values():
         test = data["test"]
         for dataset in data["datasets"]:
-            for cls, cdf in ((0, test.cdf0), (1, test.cdf1)):
-                values = np.sort(dataset.features[dataset.labels == cls])
+            class0, class1 = dataset.features[: dataset.n0], dataset.features[dataset.n0 :]
+            for class_features, cdf in ((class0, test.cdf0), (class1, test.cdf1)):
+                values = np.sort(class_features)
                 n = len(values)
                 if n == 0:
                     continue

@@ -76,7 +76,8 @@ class TestAdaptThreshold:
         # adapting to a zero estimate always predicts class 1
         clf = qs.adapt_threshold(train, 0.0)
         evaluator = qs.PopulationEvaluator(train.with_prevalence(0.01))
-        assert qs.accuracy(evaluator, clf) == pytest.approx(0.99, abs=1e-12)
+        q, (rate0, rate1) = evaluator.prevalence0, evaluator.rates_by_class(clf)
+        assert qs.accuracy(q, rate0, rate1) == pytest.approx(0.99, abs=1e-12)
 
     def test_threshold_strictly_decreasing_in_estimate(self, train):
         estimates = np.linspace(0.01, 0.99, 40)

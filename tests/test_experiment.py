@@ -574,11 +574,27 @@ class TestSampleCellMemory:
         assert peak <= 2.05 * 8 * n
 
     def test_a_sample_run_peaks_in_its_estimates(self, traced_peak):
-        # a cell's dataset (8n feature bytes, n label bytes) and EM's two
-        # arrays; the metrics count in boolean masks of n bytes
+        # a cell's dataset (8n feature bytes) and EM's two arrays; the
+        # metrics count in a boolean mask of n bytes
         n = 200_000
         config = qs.ExperimentConfig(sample_size=n, panels=("sample",), seed=3)
         assert traced_peak(lambda: qs.run_experiment(config)) <= 3.2 * 8 * n
+
+
+class TestClassRateReads:
+    def test_accuracy_and_f_measure_share_one_read_per_estimate(self, monkeypatch):
+        # per repetition: the training rates, then one read for each of the
+        # 5 estimates in each of the 9 cells
+        calls = []
+        original = qs.SampleEvaluator.rates_by_class
+
+        def counted(evaluator, clf):
+            calls.append(clf)
+            return original(evaluator, clf)
+
+        monkeypatch.setattr(qs.SampleEvaluator, "rates_by_class", counted)
+        qs.run_experiment(qs.ExperimentConfig(panels=("sample",), sample_size=300, repetitions=2))
+        assert len(calls) == 2 * (1 + 45)
 
 
 def _prevalence_tables(scenario: str, panel: str = "population", **fields) -> dict:

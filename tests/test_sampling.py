@@ -31,19 +31,18 @@ def ks_critical_1pct(n):
 class TestStratifiedSample:
     def test_exact_class_counts(self, train):
         dataset = qs.stratified_sample(train.with_prevalence(0.3), 10_000, qs.RngStream(1, 0))
-        assert int(np.sum(dataset.labels == 0)) == 3000
-        assert dataset.labels.dtype == np.int8 and np.array_equal(dataset.labels[2999:3001], [0, 1])
+        assert dataset.n0 == 3000
+        assert type(dataset.n0) is int and len(dataset) == 10_000
 
     @pytest.mark.parametrize("prevalence,expected", [(0.3, 0), (0.7, 1)])
     def test_single_instance(self, train, prevalence, expected):
         dataset = qs.stratified_sample(train.with_prevalence(prevalence), 1, qs.RngStream(1, 0))
         assert len(dataset) == 1
-        assert int(dataset.labels[0]) == (0 if expected == 1 else 1)
+        assert dataset.n0 == expected
 
     def test_class_conditional_means(self, train):
         dataset = qs.stratified_sample(train, 10_000, qs.RngStream(17, 2))
-        class0 = dataset.features[dataset.labels == 0]
-        class1 = dataset.features[dataset.labels == 1]
+        class0, class1 = dataset.features[: dataset.n0], dataset.features[dataset.n0 :]
         bound = 4.0 / math.sqrt(5000)
         assert abs(class0.mean() - 0.0) < bound
         assert abs(class1.mean() - 2.0) < bound
@@ -52,7 +51,7 @@ class TestStratifiedSample:
         a = qs.stratified_sample(train, 500, qs.RngStream(42, 9))
         b = qs.stratified_sample(train, 500, qs.RngStream(42, 9))
         assert np.array_equal(a.features, b.features)
-        assert np.array_equal(a.labels, b.labels)
+        assert a.n0 == b.n0
 
     def test_different_streams_differ(self, train):
         a = qs.stratified_sample(train, 500, qs.RngStream(42, 9))
@@ -77,8 +76,7 @@ class TestStratifiedSample:
 
     def test_distributional_fidelity(self, train):
         dataset = qs.stratified_sample(train, 10_000, qs.RngStream(4, 4))
-        class0 = dataset.features[dataset.labels == 0]
-        class1 = dataset.features[dataset.labels == 1]
+        class0, class1 = dataset.features[: dataset.n0], dataset.features[dataset.n0 :]
         assert ks_statistic(class0, train.cdf0) < ks_critical_1pct(len(class0))
         assert ks_statistic(class1, train.cdf1) < ks_critical_1pct(len(class1))
 
@@ -280,6 +278,11 @@ class TestNormalSampler:
 
 
 class TestLabeledDataset:
-    def test_length_mismatch_rejected(self):
+    @pytest.mark.parametrize("n0", [-1, 4])
+    def test_class0_count_outside_the_features_rejected(self, n0):
         with pytest.raises(ValueError):
-            qs.LabeledDataset(np.zeros(3), np.zeros(2, dtype=int))
+            qs.LabeledDataset(np.zeros(3), n0)
+
+    @pytest.mark.parametrize("n0", [0, 3])
+    def test_one_class_may_be_empty(self, n0):
+        assert qs.LabeledDataset(np.zeros(3), n0).n0 == n0
