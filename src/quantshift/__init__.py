@@ -54,7 +54,6 @@ from .quantify import (
     training_rates,
 )
 from .sampling import (
-    EnvelopeViolation,
     LabeledDataset,
     SamplingBudgetExceeded,
     stratified_sample,
@@ -77,7 +76,6 @@ __all__ = [
     "ConfigError",
     "DegenerateClassifier",
     "DensityRatio",
-    "EnvelopeViolation",
     "EstimateStatus",
     "ExperimentConfig",
     "GridCdf",

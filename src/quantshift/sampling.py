@@ -3,9 +3,9 @@
 A dataset is its features in class order and its class-0 count n0: the
 first n0 features are class 0 and the rest class 1, so a class is a slice
 and no label array is kept.  Normal class conditionals are sampled exactly;
-derived (non-normal) conditionals are sampled by accept-reject from their
-mixture envelope.  Every sampling call owns its random stream, so datasets
-are reproducible byte-for-byte from (seed, stream_id).
+a derived one keeps each envelope proposal x with probability accept(x).
+Every sampling call owns its random stream, so datasets are reproducible
+byte-for-byte from (seed, stream_id).
 """
 
 from __future__ import annotations
@@ -20,12 +20,7 @@ from .errors import NumericalFailure
 from .models import Density, NormalSampler, PopulationModel
 from .numerics import _BLOCK_PAIRS, RngStream, _box_muller
 
-_ENVELOPE_SLACK = 1.0 + 1e-9  # tolerated float rounding in the envelope test
 _MAX_EXPECTED_PROPOSALS = 1e12  # most proposals a draw may expect: about a day at 10 M/s
-
-
-class EnvelopeViolation(NumericalFailure, RuntimeError):
-    """A proposal had target density above M * candidate density."""
 
 
 class SamplingBudgetExceeded(NumericalFailure, RuntimeError):
@@ -74,48 +69,28 @@ def stratified_sample(pop: PopulationModel, n: int, stream: RngStream) -> Labele
     return LabeledDataset(features, n0)
 
 
-def _violation(x: float, t: float, bound: float, envelope_constant: float) -> EnvelopeViolation:
-    return EnvelopeViolation(
-        f"target({x}) = {t} exceeds envelope {bound}; constant M = {envelope_constant} is too small"
-    )
-
-
-def rejection_draw(
-    target: Density,
-    candidate_sampler: Callable[[RngStream], float],
-    candidate_density: Density,
-    envelope_constant: float,
-    stream: RngStream,
-) -> float:
-    """One accept-reject draw from ``target`` using candidate proposals.
-
-    Requires target(x) <= envelope_constant * candidate_density(x) everywhere.
-    """
+def rejection_draw(accept: Density, candidate_sampler: Callable[[RngStream], float], stream: RngStream) -> float:
+    """One accept-reject draw: the first candidate proposal x kept by a uniform u <= accept(x)."""
     while True:
         x = candidate_sampler(stream)
-        bound = envelope_constant * float(candidate_density(x))
-        t = float(target(x))
-        if t > bound * _ENVELOPE_SLACK:
-            raise _violation(x, t, bound, envelope_constant)
-        if stream.next_uniform() * bound <= t:
+        if stream.next_uniform() <= accept(x):
             return x
 
 
 @dataclass(frozen=True)
 class RejectionSampler:
-    """Accept-reject draws from ``target`` with candidate proposals.
+    """Accept-reject draws that keep candidate proposal x with probability ``accept(x)``.
 
-    Requires target(x) <= envelope_constant * candidate_density(x) everywhere.
-    ``draw`` gives exactly the values, and leaves the stream exactly where,
-    ``n`` calls of :func:`rejection_draw` would.  With a
-    :class:`~quantshift.models.NormalSampler` candidate it evaluates whole
-    blocks of proposals in numpy; any other candidate is called once per
-    proposal.
+    A target f under the envelope M h of the candidate density h, where M is
+    ``envelope_constant`` (it sizes the blocks and the proposal budget), takes
+    accept(x) = f(x) / (M h(x)).  ``draw`` gives exactly the values, and leaves
+    the stream exactly where, ``n`` calls of :func:`rejection_draw` would.  A
+    :class:`~quantshift.models.NormalSampler` candidate is evaluated in numpy
+    blocks of proposals; any other candidate is called once per proposal.
     """
 
-    target: Density
+    accept: Density
     candidate_sampler: Callable[[RngStream], float]
-    candidate_density: Density
     envelope_constant: float
 
     def draw(self, stream: RngStream, n: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -133,9 +108,7 @@ class RejectionSampler:
                     # the block drew words, with or without acceptances
                     continue
             # a pending spare, or a zero u1 at the first pair of a block
-            out[filled] = rejection_draw(
-                self.target, self.candidate_sampler, self.candidate_density, self.envelope_constant, stream
-            )
+            out[filled] = rejection_draw(self.accept, self.candidate_sampler, stream)
             filled += 1
         return out
 
@@ -163,19 +136,12 @@ class RejectionSampler:
         normals = np.empty((pairs, 2))
         normals[:, 0], normals[:, 1] = _box_muller(words[:, 0], words[:, 1])
         x = (self.candidate_sampler.mean + self.candidate_sampler.sd * normals).ravel()
-        bound = self.envelope_constant * self.candidate_density(x)
-        t = self.target(x)
-        accepted = np.flatnonzero(words[:, 2:].ravel() * bound <= t)[:need]
+        accepted = np.flatnonzero(words[:, 2:].ravel() <= self.accept(x))[:need]
         last = int(accepted[-1]) if len(accepted) == need else 2 * pairs - 1
-        violations = np.flatnonzero(t[: last + 1] > bound[: last + 1] * _ENVELOPE_SLACK)
         # the scalar loop stops after the last proposal used and its accept
-        # word, or at the first violation, before its accept word; after an
-        # even proposal the sine spare is pending
-        stop = int(violations[0]) if violations.size else last
-        pair, odd = divmod(stop, 2)
-        stream._advance(4 * pair + 2 + odd + (not violations.size) - drawn)
+        # word; after an even proposal the sine spare is pending
+        pair, odd = divmod(last, 2)
+        stream._advance(4 * pair + 3 + odd - drawn)
         stream._spare_gaussian = None if odd else float(normals[pair, 1])
-        if violations.size:
-            raise _violation(float(x[stop]), float(t[stop]), float(bound[stop]), self.envelope_constant)
         out[: len(accepted)] = x[accepted]
         return len(accepted)

@@ -5,7 +5,9 @@ ratio variant.
 The two derived kinds start from a normal envelope density h* and decompose it
 into a mixture q* h0 + (1-q*) h1 whose conditional ratio h0/h1 equals a target
 ratio; the mixture weight q* is the root of the associated likelihood
-equation.  One (h0, h1) pair then serves every test prevalence.
+equation.  One (h0, h1) pair then serves every test prevalence, drawn by
+accept-reject from h* with the mixture's class posteriors as acceptance
+probabilities, which never exceed 1, so no envelope test is needed.
 """
 
 from __future__ import annotations
@@ -51,6 +53,18 @@ class NoInteriorSolution(NumericalFailure, ArithmeticError):
         self.failed_moment = failed_moment
 
 
+def _log_odds(ratio: DensityRatio, q_star: float, q_complement: float) -> Density:
+    """z(x) = log R(x) + log(q*/(1-q*)), the class-0 log-odds of the mixture at x."""
+    log_odds = math.log(q_star) - math.log(q_complement)
+    return lambda x: ratio.log(x) + log_odds
+
+
+def _logistic(t):
+    """1/(1 + e^-t): 0 where e^-t overflows."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-t))
+
+
 def decompose_mixture(
     h_star: Density,
     ratio: DensityRatio,
@@ -88,15 +102,15 @@ def decompose_mixture(
             failed_moment="E[1/R]",
         )
     q_star, q_complement = root.value, root.complement
-    log_odds = math.log(q_star) - math.log(q_complement)
+    z = _log_odds(ratio, q_star, q_complement)
 
     def h0(x):
         with np.errstate(over="ignore"):
-            return h_star(x) / (q_star * (1.0 + np.exp(-log_odds - ratio.log(x))))
+            return h_star(x) / (q_star * (1.0 + np.exp(-z(x))))
 
     def h1(x):
         with np.errstate(over="ignore"):
-            return h_star(x) / (q_complement * (1.0 + np.exp(ratio.log(x) + log_odds)))
+            return h_star(x) / (q_complement * (1.0 + np.exp(z(x))))
 
     return q_star, q_complement, h0, h1, (points, weights * h0(points), weights * h1(points))
 
@@ -111,10 +125,11 @@ def make_test_population(
     ``train`` itself is returned.  For the derived kinds, the conditional pair
     comes from the decomposition of the normal envelope
     N(``envelope_mean``, ``envelope_sd``^2); their CDF tables and ``nodes()``
-    are the node masses it returns, and their samplers accept-reject with the
-    exact envelope constants 1/q* (class 0) and 1/(1-q*) (class 1), each from
-    the weight the decomposition returns, so the smaller weight's constant
-    keeps full relative precision.
+    are the node masses it returns.  Their samplers keep an envelope proposal
+    x with P[Y=0 | x] = 1/(1 + e^-z) = q* h0(x)/h*(x) (class 0) or P[Y=1 | x]
+    (class 1), at the envelope constants 1/q* and 1/(1-q*), each from the
+    weight the decomposition returns, so the smaller one keeps full relative
+    precision.
 
     Raises:
         ValueError: if ``kind`` names no shift kind or ``envelope_sd`` is not positive.
@@ -148,6 +163,7 @@ def make_test_population(
             f"the test conditionals have masses {masses[0]!r} and {masses[1]!r} on {support}; "
             "the panels do not resolve them"
         )
+    z = _log_odds(ratio, q_star, q_complement)
     proposal = NormalSampler(envelope_mean, envelope_sd)
     return PopulationModel(
         f0=h0,
@@ -157,8 +173,8 @@ def make_test_population(
         prevalence0=train.prevalence0,
         support=support,
         ratio=ratio,
-        sampler0=RejectionSampler(h0, proposal, h_star, 1.0 / q_star),
-        sampler1=RejectionSampler(h1, proposal, h_star, 1.0 / q_complement),
+        sampler0=RejectionSampler(lambda x: _logistic(z(x)), proposal, 1.0 / q_star),
+        sampler1=RejectionSampler(lambda x: _logistic(-z(x)), proposal, 1.0 / q_complement),
         nodes=lambda: nodes,
     )
 

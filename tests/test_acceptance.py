@@ -24,9 +24,7 @@ import pytest
 import quantshift as qs
 from quantshift import cli, reference
 from quantshift.experiment import _scenario_base_stream, emit_table, tables_from_json
-from quantshift.models import NormalSampler, normal_pdf
 from quantshift.quantify import PopulationEvaluator, SampleEvaluator
-from quantshift.sampling import RejectionSampler
 from quantshift.shift import ShiftKind
 
 from conftest import cost_error
@@ -409,13 +407,12 @@ def test_criterion_8_sample_panels(train, population_run, sample_run):
     # (c) accept-reject acceptance rates within 0.02 of 1/M; a proposal takes
     # two words (a Box-Muller pair serves two, each with its accept word)
     rates_ok = True
-    h_star = lambda x: normal_pdf(x, 0.5, 1.4)
     for scenario, weight in reference.MIXTURE_WEIGHTS.items():
         test = sample_run["data"][scenario]["test"]
-        for target, rate in ((test.f0, weight), (test.f1, 1.0 - weight)):
+        for sampler, rate in ((test.sampler0, weight), (test.sampler1, 1.0 - weight)):
             accepted = 25_000
             stream = qs.RngStream(SEED, 999)
-            RejectionSampler(target, NormalSampler(0.5, 1.4), h_star, 1.0 / rate).draw(stream, accepted)
+            sampler.draw(stream, accepted)
             rates_ok &= abs(accepted / (stream.words_drawn // 2) - rate) <= 0.02
 
     # (d) per-class KS statistics beat the 1% critical value.  54 cells are

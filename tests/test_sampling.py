@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 import quantshift as qs
 from quantshift.models import NormalSampler, normal_pdf
 from quantshift.numerics import _BLOCK_PAIRS
-from quantshift.sampling import RejectionSampler, SamplingBudgetExceeded, rejection_draw
+from quantshift.sampling import RejectionSampler, SamplingBudgetExceeded
 from conftest import deadline
 from test_numerics import _GOLDEN, _MASK64, _stream, _unmix64
 
@@ -67,11 +69,19 @@ class TestStratifiedSample:
         stream = qs.RngStream(1, 0)
         stream.next_uniform()
 
+        # trace the call alone: pytest.raises(match=...) may compile its
+        # pattern on first use, inside whatever region is traced
+        raised = []
+
         def draw():
-            with pytest.raises(SamplingBudgetExceeded, match="^10000000000000 draws expect at least 1e\\+13 proposals"):
+            try:
                 qs.stratified_sample(train, 10**13, stream)
+            except SamplingBudgetExceeded as exc:
+                raised.append(exc)
 
         assert traced_peak(draw) < 4096
+        assert len(raised) == 1
+        assert re.match("10000000000000 draws expect at least 1e\\+13 proposals", str(raised[0]))
         assert stream.words_drawn == 1
 
     def test_distributional_fidelity(self, train):
@@ -83,7 +93,7 @@ class TestStratifiedSample:
 
 class TestAcceptReject:
     def test_identical_target_accepts_everything(self):
-        target = lambda x: normal_pdf(x, 0.0, 1.0)
+        # target = candidate density at M = 1: accept(x) = f(x) / (M h(x)) = 1
         proposals = 0
 
         def candidate_sampler(stream):
@@ -91,28 +101,20 @@ class TestAcceptReject:
             proposals += 1
             return stream.next_gaussian()
 
-        draws = RejectionSampler(target, candidate_sampler, target, 1.0).draw(qs.RngStream(3, 0), 2000)
+        draws = RejectionSampler(lambda x: 1.0, candidate_sampler, 1.0).draw(qs.RngStream(3, 0), 2000)
         assert len(draws) == 2000
         assert proposals == 2000
 
     def test_acceptance_rate_matches_envelope_constant(self, train, invariant_test):
         # class-0 conditional of the invariant scenario under its tight
         # envelope: acceptance rate must be ~ 1/M = 0.7239
-        h_star = lambda x: normal_pdf(x, 0.5, 1.4)
         weight = 0.7239184
         count = int(100_000 * weight)
         stream = qs.RngStream(11, 0)
-        RejectionSampler(invariant_test.f0, NormalSampler(0.5, 1.4), h_star, 1.0 / weight).draw(stream, count)
+        invariant_test.sampler0.draw(stream, count)
         # a Box-Muller pair serves two proposals, each with its accept word
         proposals = stream.words_drawn // 2
         assert count / proposals == pytest.approx(weight, abs=0.02)
-
-    def test_envelope_violation_detected(self):
-        target = lambda x: normal_pdf(x, 0.0, 1.0)
-        candidate = lambda x: normal_pdf(x, 0.0, 2.0)
-        with pytest.raises(qs.EnvelopeViolation):
-            # M = 1 is far too small: target/candidate peaks at 2
-            RejectionSampler(target, lambda s: 2.0 * s.next_gaussian(), candidate, 1.0).draw(qs.RngStream(5, 0), 100)
 
     def test_envelope_constants_are_tight(self, train, invariant_test):
         # h0 <= h*/q* and h1 <= h*/(1-q*) pointwise, with equality approached
@@ -126,23 +128,39 @@ class TestAcceptReject:
         assert np.max(ratio1) <= 1.0 / (1.0 - weight) + 1e-6
 
     def test_derived_draws_match_quadrature_cdf(self, invariant_test):
-        draws = RejectionSampler(
-            invariant_test.f1,
-            NormalSampler(0.5, 1.4),
-            lambda x: normal_pdf(x, 0.5, 1.4),
-            1.0 / (1.0 - 0.7239184),
-        ).draw(qs.RngStream(21, 0), 100_000)
+        draws = invariant_test.sampler1.draw(qs.RngStream(21, 0), 100_000)
         assert ks_statistic(draws, invariant_test.cdf1) < 0.01
+
+    @pytest.mark.parametrize("scenario", ["invariant", "sqrt"])
+    def test_accept_is_the_envelope_posterior(self, invariant_test, sqrt_test, scenario):
+        # accept(x) = f_c(x) / (M h*(x)), the envelope mixture's class posterior,
+        # lies in [0, 1]: the condition an envelope test would check
+        test = invariant_test if scenario == "invariant" else sqrt_test
+        h_star = lambda x: normal_pdf(x, 0.5, 1.4)
+        grid = np.linspace(*test.support, 1000)
+        far = np.array([-1e3, 1e3])
+        for sampler, density in ((test.sampler0, test.f0), (test.sampler1, test.f1)):
+            accept = sampler.accept(grid)
+            assert np.all((0.0 <= accept) & (accept <= 1.0))
+            expected = density(grid) / (sampler.envelope_constant * h_star(grid))
+            np.testing.assert_allclose(accept, expected, rtol=1e-14, atol=0.0)
+            # far out e^z or e^-z overflows: the posterior is exactly 0 or 1
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                tails = [sampler.accept(far), *(sampler.accept(float(x)) for x in far)]
+            assert all(np.all((t == 0.0) | (t == 1.0)) for t in tails)
+        class0 = (test.ratio.log_slope * far > 0).astype(float)
+        assert test.sampler0.accept(far).tolist() == class0.tolist()
+        assert test.sampler1.accept(far).tolist() == (1.0 - class0).tolist()
 
     def test_count_validation(self):
         with pytest.raises(ValueError):
-            RejectionSampler(lambda x: x, lambda s: 0.0, lambda x: x, 1.0).draw(qs.RngStream(1, 0), -1)
+            RejectionSampler(lambda x: x, lambda s: 0.0, 1.0).draw(qs.RngStream(1, 0), -1)
 
     @pytest.mark.parametrize("block", [True, False])
     def test_proposal_budget_raises_before_drawing(self, block):
         # 101 draws at M = 1e10 expect 1.01e12 proposals, over the 1e12 bound
-        density = lambda x: normal_pdf(x, 0.0, 1.0)
-        sampler = RejectionSampler(density, NormalSampler(0.0, 1.0), density, 1e10)
+        sampler = RejectionSampler(lambda x: 1e-10, NormalSampler(0.0, 1.0), 1e10)
         if not block:
             sampler = _scalar_twin(sampler)
         stream = qs.RngStream(1, 0)
@@ -155,11 +173,10 @@ class TestAcceptReject:
     def test_proposal_budget_admits_edge_cells(self, train):
         # the class-0 conditional at theta = 2.95 has M = 5.06e4, and a cell of
         # the default 10,000 draws expects up to 5e8 proposals: the bound lets
-        # it draw.  A target of M times the candidate accepts every proposal.
+        # it draw.  Here every proposal is accepted.
         sampler = qs.make_test_population(qs.ShiftKind.INVARIANT_RATIO, train, envelope_mean=2.95).sampler0
         assert sampler.envelope_constant == pytest.approx(5.06e4, rel=1e-3)
-        m, density = sampler.envelope_constant, sampler.candidate_density
-        draws = replace(sampler, target=lambda x: m * density(x)).draw(qs.RngStream(1, 0), 10_000)
+        draws = replace(sampler, accept=lambda x: 1.0).draw(qs.RngStream(1, 0), 10_000)
         assert np.all(np.isfinite(draws))
 
 
@@ -176,22 +193,6 @@ def _assert_block_matches_scalar(sampler: RejectionSampler, make_stream, n: int)
     assert got.tobytes() == expected.tobytes()
     assert block._state == scalar._state
     assert block._spare_gaussian == scalar._spare_gaussian
-
-
-def _draw_error(sampler: RejectionSampler, stream, n: int) -> str:
-    with pytest.raises(qs.EnvelopeViolation) as info:
-        sampler.draw(stream, n)
-    return str(info.value)
-
-
-# Outside x > 2.5 the target equals the candidate density, so every proposal
-# there is accepted; inside, M = 1 is too small.
-_TAIL_VIOLATION = RejectionSampler(
-    lambda x: normal_pdf(x, 0.0, 1.0) * np.where(np.asarray(x) > 2.5, 2.0, 1.0),
-    NormalSampler(0.0, 1.0),
-    lambda x: normal_pdf(x, 0.0, 1.0),
-    1.0,
-)
 
 
 class TestRejectionSamplerBlocks:
@@ -218,10 +219,10 @@ class TestRejectionSamplerBlocks:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_blocks_without_acceptances(self, invariant_test, seed):
-        # a thousandth of the target still lies under the envelope, but a
-        # block sized for the acceptance rate 1/M then rarely accepts
+        # a block sized for the acceptance rate 1/M rarely accepts at a
+        # thousandth of the acceptance probability
         sampler = invariant_test.sampler0
-        faint = replace(sampler, target=lambda x: 1e-3 * sampler.target(x))
+        faint = replace(sampler, accept=lambda x: 1e-3 * sampler.accept(x))
         _assert_block_matches_scalar(faint, lambda: _stream(seed), 5)
 
     @pytest.mark.parametrize("pending_spare", [False, True])
@@ -235,29 +236,6 @@ class TestRejectionSamplerBlocks:
         # forever; fail instead of hanging
         with deadline(5.0):
             _assert_block_matches_scalar(invariant_test.sampler0, lambda: _stream(0, 0, pending_spare, state), 500)
-
-    def test_envelope_violation_on_the_same_draw(self):
-        sampler = RejectionSampler(
-            lambda x: normal_pdf(x, 0.0, 1.0), NormalSampler(0.0, 2.0), lambda x: normal_pdf(x, 0.0, 2.0), 1.0
-        )
-        for candidate in (sampler, _TAIL_VIOLATION):
-            block, scalar = _stream(5), _stream(5)
-            assert _draw_error(candidate, block, 1000) == _draw_error(_scalar_twin(candidate), scalar, 1000)
-            assert block._state == scalar._state
-            assert block._spare_gaussian == scalar._spare_gaussian
-
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_no_violation_after_the_last_proposal_used(self, seed):
-        # count the draws that precede the first violating proposal
-        stream, draws = _stream(seed), 0
-        with pytest.raises(qs.EnvelopeViolation):
-            while True:
-                rejection_draw(*vars(_TAIL_VIOLATION).values(), stream)
-                draws += 1
-        assert draws > 0
-        # every proposal before the violation is accepted, so the first block
-        # (at least 1.1 * draws + 32 proposals) contains the violating one
-        _assert_block_matches_scalar(_TAIL_VIOLATION, lambda: _stream(seed), draws)
 
 
 class TestNormalSampler:
