@@ -153,6 +153,24 @@ class TestAcceptReject:
         assert test.sampler0.accept(far).tolist() == class0.tolist()
         assert test.sampler1.accept(far).tolist() == (1.0 - class0).tolist()
 
+    @pytest.mark.parametrize(
+        "kind,envelope_mean",
+        [("invariant_ratio", mean) for mean in (0.5, 1.0, 2.5, -0.5, 2.95, -0.95)]
+        + [("sqrt_ratio", mean) for mean in (0.5, 1.0)],
+    )
+    def test_accept_decides_as_the_envelope_test(self, train, kind, envelope_mean):
+        # u <= accept(x) keeps exactly the proposals that the envelope test
+        # u M h*(x) <= f_c(x) keeps, out to the envelope means of the edge cells
+        test = qs.make_test_population(kind, train, envelope_mean=envelope_mean)
+        stream = qs.RngStream(17, 0)
+        x = envelope_mean + 1.4 * stream.gaussians(200_000)
+        u = stream.uniforms(200_000)
+        h_star = normal_pdf(x, envelope_mean, 1.4)
+        for sampler, density in ((test.sampler0, test.f0), (test.sampler1, test.f1)):
+            kept = u <= sampler.accept(x)
+            assert 0 < np.count_nonzero(kept) < len(x)
+            assert np.array_equal(kept, u * (sampler.envelope_constant * h_star) <= density(x))
+
     def test_count_validation(self):
         with pytest.raises(ValueError):
             RejectionSampler(lambda x: x, lambda s: 0.0, 1.0).draw(qs.RngStream(1, 0), -1)
