@@ -53,12 +53,6 @@ class NoInteriorSolution(NumericalFailure, ArithmeticError):
         self.failed_moment = failed_moment
 
 
-def _log_odds(ratio: DensityRatio, q_star: float, q_complement: float) -> Density:
-    """z(x) = log R(x) + log(q*/(1-q*)), the class-0 log-odds of the mixture at x."""
-    log_odds = math.log(q_star) - math.log(q_complement)
-    return lambda x: ratio.log(x) + log_odds
-
-
 def _logistic(t):
     """1/(1 + e^-t): 0 where e^-t overflows."""
     with np.errstate(over="ignore"):
@@ -69,7 +63,7 @@ def decompose_mixture(
     h_star: Density,
     ratio: DensityRatio,
     support: tuple[float, float],
-) -> tuple[float, float, Density, Density, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> tuple[float, float, Density, Density, Density, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Split ``h_star`` into q* h0 + (1-q*) h1 with h0/h1 equal to ``ratio``.
 
     The weight q* is the unique root in (0, 1) of
@@ -80,9 +74,10 @@ def decompose_mixture(
     a sum over the nodes of ``panel_edges(support, ratio)``, built once, and
     :func:`~quantshift.numerics.solve_prior_equation` finds the root.  It
     returns q*, 1 - q* (the smaller to full relative precision),
-    h0 = h* / (q* (1 + e^-z)), h1 = h* / ((1 - q*) (1 + e^z)), where
-    z = log R + log(q* / (1 - q*)) is the posterior log-odds (both stay finite
-    where R overflows), and ``node_masses(support, ratio, h0, h1)`` on those nodes.
+    h0 = h* / (q* (1 + e^-z)), h1 = h* / ((1 - q*) (1 + e^z)) (both finite
+    where R overflows), z = log R + log(q* / (1 - q*)), the class-0 posterior
+    log-odds of the mixture, and ``node_masses(support, ratio, h0, h1)`` on
+    those nodes.
 
     Raises:
         NoInteriorSolution: naming the moment inequality that failed.
@@ -102,7 +97,10 @@ def decompose_mixture(
             failed_moment="E[1/R]",
         )
     q_star, q_complement = root.value, root.complement
-    z = _log_odds(ratio, q_star, q_complement)
+    log_odds = math.log(q_star) - math.log(q_complement)
+
+    def z(x):
+        return ratio.log(x) + log_odds
 
     def h0(x):
         with np.errstate(over="ignore"):
@@ -112,7 +110,7 @@ def decompose_mixture(
         with np.errstate(over="ignore"):
             return h_star(x) / (q_complement * (1.0 + np.exp(z(x))))
 
-    return q_star, q_complement, h0, h1, (points, weights * h0(points), weights * h1(points))
+    return q_star, q_complement, h0, h1, z, (points, weights * h0(points), weights * h1(points))
 
 
 def make_test_population(
@@ -153,7 +151,7 @@ def make_test_population(
 
     pad = TRUNCATION_HALFWIDTH * envelope_sd
     support = (envelope_mean - pad, envelope_mean + pad)
-    q_star, q_complement, h0, h1, nodes = decompose_mixture(h_star, ratio, support)
+    q_star, q_complement, h0, h1, z, nodes = decompose_mixture(h_star, ratio, support)
 
     edges = panel_edges(support, ratio)
     cdf0, cdf1 = GridCdf(h0, edges, nodes[1]), GridCdf(h1, edges, nodes[2])
@@ -163,7 +161,6 @@ def make_test_population(
             f"the test conditionals have masses {masses[0]!r} and {masses[1]!r} on {support}; "
             "the panels do not resolve them"
         )
-    z = _log_odds(ratio, q_star, q_complement)
     proposal = NormalSampler(envelope_mean, envelope_sd)
     return PopulationModel(
         f0=h0,

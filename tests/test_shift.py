@@ -25,17 +25,17 @@ def _edge_population(theta: float) -> qs.PopulationModel:
 
 class TestDecomposeMixture:
     def test_reference_weight_binormal_ratio(self, train, envelope_window):
-        q_star, _, _, _, _ = qs.decompose_mixture(default_envelope, train.ratio, envelope_window)
+        q_star, _, _, _, _, _ = qs.decompose_mixture(default_envelope, train.ratio, envelope_window)
         assert q_star == pytest.approx(0.7239184, abs=5e-7)
 
     def test_reference_weight_sqrt_ratio(self, train, envelope_window):
-        q_star, _, _, _, _ = qs.decompose_mixture(default_envelope, train.ratio.sqrt(), envelope_window)
+        q_star, _, _, _, _, _ = qs.decompose_mixture(default_envelope, train.ratio.sqrt(), envelope_window)
         assert q_star == pytest.approx(0.8152434, abs=5e-7)
 
     def test_explicit_mixture_recovers_weight(self, train):
         # decomposing 0.3 f0 + 0.7 f1 against R = f0/f1 must give back the pieces
         mixture = lambda x: 0.3 * train.f0(x) + 0.7 * train.f1(x)
-        q_star, q_complement, h0, h1, _ = qs.decompose_mixture(mixture, train.ratio, train.support)
+        q_star, q_complement, h0, h1, _, _ = qs.decompose_mixture(mixture, train.ratio, train.support)
         assert q_star == pytest.approx(0.3, abs=1e-8)
         assert q_complement == 1.0 - q_star
         grid = np.linspace(-4.0, 6.0, 200)
@@ -43,14 +43,14 @@ class TestDecomposeMixture:
         assert np.allclose(h1(grid), train.f1(grid), rtol=1e-8, atol=1e-12)
 
     def test_mixture_identity(self, train, envelope_window):
-        q_star, _, h0, h1, _ = qs.decompose_mixture(default_envelope, train.ratio, envelope_window)
+        q_star, _, h0, h1, _, _ = qs.decompose_mixture(default_envelope, train.ratio, envelope_window)
         grid = np.linspace(-6.0, 8.0, 1000)
         recombined = q_star * h0(grid) + (1.0 - q_star) * h1(grid)
         assert np.max(np.abs(recombined - default_envelope(grid))) < 1e-10
 
     def test_ratio_identity(self, train, envelope_window):
         for ratio in (train.ratio, train.ratio.sqrt()):
-            _, _, h0, h1, _ = qs.decompose_mixture(default_envelope, ratio, envelope_window)
+            _, _, h0, h1, _, _ = qs.decompose_mixture(default_envelope, ratio, envelope_window)
             grid = np.linspace(-6.0, 8.0, 1000)
             d1 = h1(grid)
             mask = d1 > 1e-12
@@ -58,7 +58,7 @@ class TestDecomposeMixture:
             assert np.max(rel) < 1e-8
 
     def test_components_normalize(self, train, envelope_window):
-        _, _, h0, h1, _ = qs.decompose_mixture(default_envelope, train.ratio, envelope_window)
+        _, _, h0, h1, _, _ = qs.decompose_mixture(default_envelope, train.ratio, envelope_window)
         for density in (h0, h1):
             total = qs.integrate_interval(density, *envelope_window)
             assert total == pytest.approx(1.0, abs=1e-6)
@@ -88,7 +88,7 @@ class TestDecomposeMixture:
 
         monkeypatch.setattr(shift, "decompose_mixture", recorded)
         test = qs.make_test_population(kind, train)
-        ((_, _, h0, h1, nodes),) = returned
+        ((_, _, h0, h1, _, nodes),) = returned
         expected = models.node_masses(test.support, test.ratio, h0, h1)
         assert len(nodes) == 3 and all(np.array_equal(a, b) for a, b in zip(nodes, expected))
         assert test.nodes() is nodes and test.with_prevalence(0.2).nodes() is nodes
@@ -118,7 +118,7 @@ class TestMixtureWeightOracle:
         # the stored reference weight is the oracle's q* at its seven decimals
         assert round(oracle_q, 7) == qs.reference.MIXTURE_WEIGHTS[kind]
         ratio = train.ratio.sqrt() if kind == "sqrt_ratio" else train.ratio
-        q_star, q_complement, _, _, _ = qs.decompose_mixture(default_envelope, ratio, envelope_window)
+        q_star, q_complement, _, _, _, _ = qs.decompose_mixture(default_envelope, ratio, envelope_window)
         assert q_star == pytest.approx(oracle_q, rel=1e-15, abs=0.0)
         assert q_complement == pytest.approx(oracle_complement, rel=1e-15, abs=0.0)
 
@@ -130,7 +130,7 @@ class TestMixtureWeightOracle:
         assert small == pytest.approx(3.3202115878251154e-16, rel=1e-13, abs=0.0)
         test = _edge_population(theta)
         envelope = lambda x: normal_pdf(x, theta, 0.5)
-        q_star, q_complement, _, _, _ = qs.decompose_mixture(envelope, test.ratio, test.support)
+        q_star, q_complement, _, _, _, _ = qs.decompose_mixture(envelope, test.ratio, test.support)
         assert (q_star if theta > 1.0 else q_complement) == pytest.approx(small, rel=1e-13, abs=0.0)
         # the sampler's constant comes from the small weight itself, not 1 - q* rounded
         sampler = test.sampler0 if theta > 1.0 else test.sampler1
@@ -239,7 +239,7 @@ def _derived_run(kind: qs.ShiftKind, sigma: float) -> dict:
     derived scenario at the default theta and tau."""
     train = qs.binormal_population(qs.BinormalParams(sigma=sigma), 0.5)
     test = qs.make_test_population(kind, train)
-    q_star, _, _, _, _ = qs.decompose_mixture(default_envelope, test.ratio, test.support)
+    q_star, _, _, _, _, _ = qs.decompose_mixture(default_envelope, test.ratio, test.support)
     config = qs.ExperimentConfig(scenario=kind, sigma=sigma, panels=("population",), outputs=("prevalence",))
     (table,) = qs.run_experiment(config)
     return {
