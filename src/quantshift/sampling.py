@@ -136,7 +136,9 @@ class RejectionSampler:
         normals = np.empty((pairs, 2))
         normals[:, 0], normals[:, 1] = _box_muller(words[:, 0], words[:, 1])
         x = (self.candidate_sampler.mean + self.candidate_sampler.sd * normals).ravel()
-        accepted = np.flatnonzero(words[:, 2:].ravel() <= self.accept(x))[:need]
+        # accept(x) first, so the copy of the accept words is not live
+        # beside its temporaries
+        accepted = np.flatnonzero(self.accept(x) >= words[:, 2:].ravel())[:need]
         last = int(accepted[-1]) if len(accepted) == need else 2 * pairs - 1
         # the scalar loop stops after the last proposal used and its accept
         # word; after an even proposal the sine spare is pending
