@@ -26,23 +26,13 @@ from .models import (
     BinormalParams,
     DensityRatio,
     GridCdf,
-    InvalidThreshold,
     PopulationModel,
     binormal_density_ratio,
     binormal_population,
     posterior,
 )
-from .numerics import (
-    Bracket,
-    NonFinite,
-    NoSignChange,
-    RngStream,
-    UnresolvedMeasure,
-    find_root_bracketed,
-    integrate_interval,
-)
+from .numerics import Bracket, RngStream, find_root_bracketed, integrate_interval
 from .quantify import (
-    DegenerateClassifier,
     EstimateStatus,
     PopulationEvaluator,
     PrevalenceEstimate,
@@ -53,13 +43,8 @@ from .quantify import (
     fixed_point_residual,
     training_rates,
 )
-from .sampling import (
-    LabeledDataset,
-    SamplingBudgetExceeded,
-    stratified_sample,
-)
+from .sampling import LabeledDataset, stratified_sample
 from .shift import (
-    NoInteriorSolution,
     ShiftKind,
     covariate_shift_identity_check,
     decompose_mixture,
@@ -74,16 +59,11 @@ __all__ = [
     "BinormalParams",
     "Bracket",
     "ConfigError",
-    "DegenerateClassifier",
     "DensityRatio",
     "EstimateStatus",
     "ExperimentConfig",
     "GridCdf",
-    "InvalidThreshold",
     "LabeledDataset",
-    "NoInteriorSolution",
-    "NoSignChange",
-    "NonFinite",
     "NumericalFailure",
     "PopulationEvaluator",
     "PopulationModel",
@@ -92,10 +72,8 @@ __all__ = [
     "ResultTable",
     "RngStream",
     "SampleEvaluator",
-    "SamplingBudgetExceeded",
     "ShiftKind",
     "ThresholdClassifier",
-    "UnresolvedMeasure",
     "acc_estimate",
     "accuracy",
     "adapt_threshold",

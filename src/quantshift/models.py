@@ -15,7 +15,6 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .errors import NumericalFailure
 from .numerics import _GL_NODES, _GL_WEIGHTS, RngStream, gauss_legendre_nodes
 
 Density = Callable[[np.ndarray], np.ndarray]
@@ -29,10 +28,6 @@ TRUNCATION_HALFWIDTH = 12.0
 
 _WINDOW_PANELS = 128
 _BAND_PANELS = 128
-
-
-class InvalidThreshold(NumericalFailure, ValueError):
-    """Density-ratio thresholds must be strictly positive."""
 
 
 def normal_pdf(x, mean: float, sd: float):
@@ -97,7 +92,7 @@ class DensityRatio:
         {R > c} = {x > x_c}.
         """
         if c <= 0:
-            raise InvalidThreshold(f"ratio threshold must be positive, got {c}")
+            raise ValueError(f"ratio threshold must be positive, got {c}")
         return (math.log(c) - self.log_offset) / self.log_slope
 
     def sqrt(self) -> "DensityRatio":

@@ -25,19 +25,6 @@ from numpy.polynomial.legendre import leggauss
 from .errors import NumericalFailure
 
 
-class NoSignChange(NumericalFailure, ValueError):
-    """The supplied bracket does not enclose a sign change."""
-
-
-class NonFinite(NumericalFailure, ArithmeticError):
-    """An integrand returned a non-finite value inside the integration range."""
-
-
-class UnresolvedMeasure(NumericalFailure, ArithmeticError):
-    """A node measure does not resolve its density: its nodes carry no mass,
-    or a CDF table built on them does not integrate to 1."""
-
-
 @dataclass(frozen=True)
 class Bracket:
     """An interval [lo, hi] known to enclose a root."""
@@ -58,7 +45,7 @@ def find_root_bracketed(f: Callable[[float], float], bracket: Bracket, tol: floa
     bracket and have opposite (or zero) signs at the endpoints.
 
     Raises:
-        NoSignChange: if f(lo) and f(hi) have the same nonzero sign.
+        NumericalFailure: if f(lo) and f(hi) have the same nonzero sign.
     """
     lo, hi = bracket.lo, bracket.hi
     flo, fhi = f(lo), f(hi)
@@ -67,7 +54,7 @@ def find_root_bracketed(f: Callable[[float], float], bracket: Bracket, tol: floa
     if fhi == 0.0:
         return hi
     if (flo > 0) == (fhi > 0):
-        raise NoSignChange(f"f({lo}) = {flo} and f({hi}) = {fhi} have the same sign")
+        raise NumericalFailure(f"f({lo}) = {flo} and f({hi}) = {fhi} have the same sign")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # bracket narrower than float spacing
@@ -94,7 +81,7 @@ def _panel(f, a: float, b: float) -> float:
     vals = np.asarray(f(mid + half * _GL_NODES), dtype=float)
     if not np.all(np.isfinite(vals)):
         bad = float((mid + half * _GL_NODES)[~np.isfinite(vals)][0])
-        raise NonFinite(f"integrand returned a non-finite value at x = {bad}")
+        raise NumericalFailure(f"integrand returned a non-finite value at x = {bad}")
     return half * float(np.dot(_GL_WEIGHTS, vals))
 
 
@@ -215,7 +202,7 @@ def solve_prior_equation(log_r, weights, tol: float = 1e-12) -> PriorEquationRoo
     as the one before, gives way to a bisection of log x (squaring the top
     while no point below the root is known), and the solve stops once a step
     is at most ``tol`` times x.  ``log_r`` is consumed: c is computed in its
-    storage beside one scratch array.  Zero total weight raises :class:`UnresolvedMeasure`.
+    storage beside one scratch array.  Zero total weight raises :class:`NumericalFailure`.
     """
     log_r = np.asarray(log_r, dtype=float)
     with np.errstate(divide="ignore"):
@@ -225,7 +212,7 @@ def solve_prior_equation(log_r, weights, tol: float = 1e-12) -> PriorEquationRoo
     else:
         total = float(np.sum(weights))
         if not total > 0.0:
-            raise UnresolvedMeasure(f"the measure's weights sum to {total!r}; its nodes carry no mass")
+            raise NumericalFailure(f"the measure's weights sum to {total!r}; its nodes carry no mass")
         log_total = math.log(total)
     g = np.add(log_w, log_r, out=np.empty_like(log_r))
     log_moment_r = _log_sum_exp(g) - log_total

@@ -32,10 +32,6 @@ from .sampling import LabeledDataset
 _DEGENERATE_RATE_GAP = 1e-12
 
 
-class DegenerateClassifier(NumericalFailure, ValueError):
-    """The classifier's training rates coincide, so no adjustment is possible."""
-
-
 class EstimateStatus(str, Enum):
     CONVERGED = "converged"
     MAX_ITERATIONS = "max_iterations"
@@ -141,10 +137,10 @@ def acc_estimate(
     rather than truncated.
 
     Raises:
-        DegenerateClassifier: if tpr and fpr are (numerically) equal.
+        NumericalFailure: if tpr and fpr are (numerically) equal.
     """
     if abs(tpr - fpr) < _DEGENERATE_RATE_GAP:
-        raise DegenerateClassifier(
+        raise NumericalFailure(
             f"tpr = {tpr} and fpr = {fpr} coincide; the decision carries no class information"
         )
     value = (evaluator.predict_positive_rate(clf) - fpr) / (tpr - fpr)

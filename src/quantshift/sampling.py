@@ -23,11 +23,6 @@ from .numerics import _BLOCK_PAIRS, RngStream, _box_muller
 _MAX_EXPECTED_PROPOSALS = 1e12  # most proposals a draw may expect: about a day at 10 M/s
 
 
-class SamplingBudgetExceeded(NumericalFailure, RuntimeError):
-    """``n`` draws at envelope constant M would expect n M > ``_MAX_EXPECTED_PROPOSALS``
-    proposals, or a sample of ``n`` does not fit in memory."""
-
-
 @dataclass(frozen=True)
 class LabeledDataset:
     """Features in class order: ``features[:n0]`` are class 0 and ``features[n0:]`` class 1."""
@@ -52,18 +47,19 @@ def stratified_sample(pop: PopulationModel, n: int, stream: RngStream) -> Labele
 
     Class-0 features are drawn first, then class-1, from the same stream, so
     the dataset is a pure function of (pop, n, stream identity).  Above
-    ``_MAX_EXPECTED_PROPOSALS`` draws it raises before it allocates or draws,
-    and it raises before it draws if the sample cannot be allocated.
+    ``_MAX_EXPECTED_PROPOSALS`` draws it raises :class:`NumericalFailure`
+    before it allocates or draws, and it raises the same before it draws if
+    the sample cannot be allocated.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > _MAX_EXPECTED_PROPOSALS:
-        raise SamplingBudgetExceeded(f"{n} draws expect at least {n:.3g} proposals, one per exact draw")
+        raise NumericalFailure(f"{n} draws expect at least {n:.3g} proposals, one per exact draw")
     n0 = _round_half_up(n * pop.prevalence0)
     try:
         features = np.empty(n)
     except MemoryError as exc:
-        raise SamplingBudgetExceeded(f"a sample of {n} does not fit in memory: {exc}") from exc
+        raise NumericalFailure(f"a sample of {n} does not fit in memory: {exc}") from exc
     pop.sampler0.draw(stream, n0, features[:n0])
     pop.sampler1.draw(stream, n - n0, features[n0:])
     return LabeledDataset(features, n0)
@@ -84,7 +80,9 @@ class RejectionSampler:
     A target f under the envelope M h of the candidate density h, where M is
     ``envelope_constant`` (it sizes the blocks and the proposal budget), takes
     accept(x) = f(x) / (M h(x)).  ``draw`` gives exactly the values, and leaves
-    the stream exactly where, ``n`` calls of :func:`rejection_draw` would.  A
+    the stream exactly where, ``n`` calls of :func:`rejection_draw` would; it
+    raises :class:`NumericalFailure` before it draws if ``n`` M exceeds
+    ``_MAX_EXPECTED_PROPOSALS``.  A
     :class:`~quantshift.models.NormalSampler` candidate is evaluated in numpy
     blocks of proposals; any other candidate is called once per proposal.
     """
@@ -96,7 +94,7 @@ class RejectionSampler:
     def draw(self, stream: RngStream, n: int, out: np.ndarray | None = None) -> np.ndarray:
         expected = n * self.envelope_constant
         if expected > _MAX_EXPECTED_PROPOSALS:
-            raise SamplingBudgetExceeded(f"{n} accept-reject draws expect {expected:.3g} proposals")
+            raise NumericalFailure(f"{n} accept-reject draws expect {expected:.3g} proposals")
         out = np.empty(n) if out is None else out
         blocks = isinstance(self.candidate_sampler, NormalSampler)
         filled = 0

@@ -29,7 +29,7 @@ from .models import (
     panel_edges,
     posterior,
 )
-from .numerics import UnresolvedMeasure, gauss_legendre_nodes, solve_prior_equation
+from .numerics import gauss_legendre_nodes, solve_prior_equation
 from .sampling import RejectionSampler
 
 # Existence of an interior mixture weight requires both ratio moments to
@@ -43,14 +43,6 @@ class ShiftKind(str, Enum):
     PRIOR_SHIFT = "prior_shift"
     INVARIANT_RATIO = "invariant_ratio"
     SQRT_RATIO = "sqrt_ratio"
-
-
-class NoInteriorSolution(NumericalFailure, ArithmeticError):
-    """The mixture decomposition has no weight strictly inside (0, 1)."""
-
-    def __init__(self, message: str, failed_moment: str):
-        super().__init__(message)
-        self.failed_moment = failed_moment
 
 
 def _logistic(t):
@@ -80,21 +72,19 @@ def decompose_mixture(
     those nodes.
 
     Raises:
-        NoInteriorSolution: naming the moment inequality that failed.
+        NumericalFailure: naming the moment inequality that failed.
     """
     points, weights = gauss_legendre_nodes(panel_edges(support, ratio))
     root = solve_prior_equation(ratio.log(points), weights * h_star(points))
     if root.log_moment_r <= math.log1p(_MOMENT_MARGIN):
-        raise NoInteriorSolution(
+        raise NumericalFailure(
             f"E[R] = {math.exp(root.log_moment_r)} under the envelope does not exceed 1; "
-            "the mixture has no class-0 component",
-            failed_moment="E[R]",
+            "the mixture has no class-0 component"
         )
     if root.log_moment_inv <= math.log1p(_MOMENT_MARGIN):
-        raise NoInteriorSolution(
+        raise NumericalFailure(
             f"E[1/R] = {math.exp(root.log_moment_inv)} under the envelope does not exceed 1; "
-            "the mixture has no class-1 component",
-            failed_moment="E[1/R]",
+            "the mixture has no class-1 component"
         )
     q_star, q_complement = root.value, root.complement
     log_odds = math.log(q_star) - math.log(q_complement)
@@ -131,9 +121,8 @@ def make_test_population(
 
     Raises:
         ValueError: if ``kind`` names no shift kind or ``envelope_sd`` is not positive.
-        NoInteriorSolution: if the envelope admits no interior mixture weight.
-        UnresolvedMeasure: if either conditional's CDF mass is more than 1e-9
-            from 1.
+        NumericalFailure: if the envelope admits no interior mixture weight,
+            or either conditional's CDF mass is more than 1e-9 from 1.
     """
     # the ``is`` tests below need the member, not its plain string
     kind = ShiftKind(kind)
@@ -157,7 +146,7 @@ def make_test_population(
     cdf0, cdf1 = GridCdf(h0, edges, nodes[1]), GridCdf(h1, edges, nodes[2])
     masses = (cdf0.total_mass, cdf1.total_mass)
     if not all(abs(mass - 1.0) <= _MASS_TOLERANCE for mass in masses):
-        raise UnresolvedMeasure(
+        raise NumericalFailure(
             f"the test conditionals have masses {masses[0]!r} and {masses[1]!r} on {support}; "
             "the panels do not resolve them"
         )

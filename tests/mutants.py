@@ -195,6 +195,16 @@ MUTANTS = (
         "    return weighted_bayes_classifier(train, 1.0 - q, q)\n",
         ("tests/test_classify.py::TestAdaptThreshold::test_example_threshold",),
     ),
+    Mutant(
+        "numerical failures exit 1",
+        "src/quantshift/errors.py",
+        "    exit_code = 2\n",
+        "    exit_code = 1\n",
+        (
+            "tests/test_experiment.py::TestCli::test_numerical_failure_exit_code",
+            "tests/test_experiment.py::TestCli::test_numerical_failures_print_one_line",
+        ),
+    ),
 )
 
 

@@ -80,9 +80,9 @@ class TestDensityRatio:
 
     def test_invalid_threshold(self, params):
         ratio = qs.binormal_density_ratio(params)
-        with pytest.raises(qs.InvalidThreshold):
+        with pytest.raises(ValueError):
             ratio.invert_threshold(0.0)
-        with pytest.raises(qs.InvalidThreshold):
+        with pytest.raises(ValueError):
             ratio.invert_threshold(-2.0)
 
     def test_sqrt_halves_the_exponent(self, params):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import quantshift as qs
 from quantshift.models import NormalSampler, normal_pdf
 from quantshift.numerics import _BLOCK_PAIRS
-from quantshift.sampling import RejectionSampler, SamplingBudgetExceeded
+from quantshift.sampling import RejectionSampler
 from conftest import deadline
 from test_numerics import _GOLDEN, _MASK64, _stream, _unmix64
 
@@ -76,7 +76,7 @@ class TestStratifiedSample:
         def draw():
             try:
                 qs.stratified_sample(train, 10**13, stream)
-            except SamplingBudgetExceeded as exc:
+            except qs.NumericalFailure as exc:
                 raised.append(exc)
 
         assert traced_peak(draw) < 4096
@@ -183,7 +183,7 @@ class TestAcceptReject:
             sampler = _scalar_twin(sampler)
         stream = qs.RngStream(1, 0)
         stream.next_uniform()
-        with pytest.raises(SamplingBudgetExceeded, match="101 accept-reject draws expect 1.01e\\+12 proposals"):
+        with pytest.raises(qs.NumericalFailure, match="101 accept-reject draws expect 1.01e\\+12 proposals"):
             with deadline(5.0):
                 sampler.draw(stream, 101)
         assert stream.words_drawn == 1

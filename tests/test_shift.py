@@ -96,15 +96,13 @@ class TestDecomposeMixture:
     def test_no_interior_solution_left(self, train):
         # envelope far on the class-1 side: E[1/R] <= 1 fails
         envelope = lambda x: normal_pdf(x, -5.0, 0.5)
-        with pytest.raises(qs.NoInteriorSolution) as info:
+        with pytest.raises(qs.NumericalFailure, match=r"^E\[1/R\] = "):
             qs.decompose_mixture(envelope, train.ratio, (-12.0, 2.0))
-        assert info.value.failed_moment == "E[1/R]"
 
     def test_no_interior_solution_right(self, train):
         envelope = lambda x: normal_pdf(x, 7.0, 0.5)
-        with pytest.raises(qs.NoInteriorSolution) as info:
+        with pytest.raises(qs.NumericalFailure, match=r"^E\[R\] = "):
             qs.decompose_mixture(envelope, train.ratio, (0.0, 14.0))
-        assert info.value.failed_moment == "E[R]"
 
 
 class TestMixtureWeightOracle:
@@ -222,7 +220,7 @@ class TestMakeTestPopulation:
     def test_unresolved_measure_raises(self, theta, monkeypatch):
         monkeypatch.setattr(models, "_WINDOW_PANELS", 2)
         monkeypatch.setattr(models, "_BAND_PANELS", 2)
-        with pytest.raises(qs.UnresolvedMeasure, match="test conditionals have masses"):
+        with pytest.raises(qs.NumericalFailure, match="test conditionals have masses"):
             _edge_population(theta)
 
     # |mass - 1| stays below 5e-16 here
