@@ -1,8 +1,10 @@
+import ast
 import dataclasses
 import importlib
 import json
 import math
 import pkgutil
+import re
 from pathlib import Path
 
 import numpy as np
@@ -258,6 +260,93 @@ ERROR_CLASSES = _error_classes()
 RAISED_ERRORS = [cls for cls in ERROR_CLASSES if cls is not qs.QuantshiftError]
 
 
+def _failure_sites() -> list[str]:
+    """The module of each ``raise NumericalFailure(...)`` in the package, once per site."""
+    modules = []
+    for path in sorted(Path(qs.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Raise)
+                and isinstance(node.exc, ast.Call)
+                and isinstance(node.exc.func, ast.Name)
+                and node.exc.func.id == "NumericalFailure"
+            ):
+                modules.append(path.stem)
+    return modules
+
+
+def _narrow_panel_population(monkeypatch):
+    # on two window and two band panels both CDF masses lie 1.4e-7 from 1
+    monkeypatch.setattr(models, "_WINDOW_PANELS", 2)
+    monkeypatch.setattr(models, "_BAND_PANELS", 2)
+    train = qs.binormal_population(qs.BinormalParams(sigma=0.3), 0.5)
+    qs.make_test_population(ShiftKind.INVARIANT_RATIO, train, envelope_mean=3.5, envelope_sd=0.5)
+
+
+def _normal_pdf(mean, sd):
+    return lambda x: np.exp(-0.5 * ((x - mean) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
+
+
+# One case per ``raise NumericalFailure(...)``: the module that raises, a call
+# that reaches the site through the public API, and the whole message it gives.
+FAILURE_SITES = {
+    "same_sign_bracket": (
+        "numerics",
+        lambda mp: qs.find_root_bracketed(lambda x: x * x + 1.0, qs.Bracket(-1.0, 1.0)),
+        r"f\(-1\.0\) = 2\.0 and f\(1\.0\) = 2\.0 have the same sign",
+    ),
+    "non_finite_integrand": (
+        "numerics",
+        lambda mp: qs.integrate_interval(lambda x: np.full_like(x, np.nan), 0.0, 1.0),
+        r"integrand returned a non-finite value at x = 0\.\d+",
+    ),
+    "massless_measure": (
+        "numerics",
+        lambda mp: qs.decompose_mixture(lambda x: np.zeros_like(x), qs.binormal_density_ratio(qs.BinormalParams()), (-1.0, 1.0)),
+        r"the measure's weights sum to 0\.0; its nodes carry no mass",
+    ),
+    "coinciding_rates": (
+        "quantify",
+        lambda mp: qs.acc_estimate(
+            qs.PopulationEvaluator(qs.binormal_population(qs.BinormalParams(), 0.5)), qs.ALWAYS_CLASS_0, 1.0, 1.0
+        ),
+        r"tpr = 1\.0 and fpr = 1\.0 coincide; the decision carries no class information",
+    ),
+    "sample_over_the_budget": (
+        "sampling",
+        lambda mp: qs.stratified_sample(qs.binormal_population(qs.BinormalParams(), 0.5), 10**12 + 1, qs.RngStream(1, 0)),
+        r"1000000000001 draws expect at least 1e\+12 proposals, one per exact draw",
+    ),
+    "sample_not_allocated": (
+        "sampling",
+        lambda mp: qs.stratified_sample(qs.binormal_population(qs.BinormalParams(), 0.5), 10**12, qs.RngStream(1, 0)),
+        r"a sample of 1000000000000 does not fit in memory: .+",
+    ),
+    "accept_reject_over_the_budget": (
+        "sampling",
+        lambda mp: qs.make_test_population(
+            ShiftKind.INVARIANT_RATIO, qs.binormal_population(qs.BinormalParams(), 0.5)
+        ).sampler0.draw(qs.RngStream(1, 0), 10**12),
+        r"1000000000000 accept-reject draws expect 1\.38e\+12 proposals",
+    ),
+    "no_class0_component": (
+        "shift",
+        lambda mp: qs.decompose_mixture(_normal_pdf(7.0, 0.5), qs.binormal_density_ratio(qs.BinormalParams()), (0.0, 14.0)),
+        r"E\[R\] = \S+ under the envelope does not exceed 1; the mixture has no class-0 component",
+    ),
+    "no_class1_component": (
+        "shift",
+        lambda mp: qs.decompose_mixture(_normal_pdf(-5.0, 0.5), qs.binormal_density_ratio(qs.BinormalParams()), (-12.0, 2.0)),
+        r"E\[1/R\] = \S+ under the envelope does not exceed 1; the mixture has no class-1 component",
+    ),
+    "unresolved_conditionals": (
+        "shift",
+        _narrow_panel_population,
+        r"the test conditionals have masses \S+ and \S+ on \(\S+, \S+\); the panels do not resolve them",
+    ),
+}
+
+
 class TestPackageSurface:
     def test_every_export_resolves_once_in_sorted_order(self):
         # a deleted name cannot stay behind in __all__
@@ -276,6 +365,12 @@ class TestErrorContract:
         assert error is qs.QuantshiftError or error.exit_code in (1, 2)
         assert error.__name__ in qs.__all__
         assert getattr(qs, error.__name__) is error
+
+    def test_every_failure_site_has_a_case(self):
+        # one class covers every numerical failure, so each site, not each
+        # class, needs a case in FAILURE_SITES
+        cases = sorted(module for module, _, _ in FAILURE_SITES.values())
+        assert sorted(_failure_sites()) == cases
 
 
 class TestCli:
@@ -473,6 +568,20 @@ class TestCli:
         monkeypatch.setattr(cli, "build_setup", fail)
         assert main(["run", "--panel", "population", "--outdir", str(tmp_path / "out")]) == error.exit_code
         assert capsys.readouterr().err == f"{error.prefix}: raised\n"
+
+    @pytest.mark.parametrize("site", FAILURE_SITES)
+    def test_every_failure_site_exits_2(self, tmp_path, capsys, monkeypatch, site):
+        _, reach, pattern = FAILURE_SITES[site]
+
+        def fail(config):
+            with deadline(5.0):
+                reach(monkeypatch)
+
+        monkeypatch.setattr(cli, "build_setup", fail)
+        assert main(["run", "--panel", "population", "--outdir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"numerical failure: {pattern}\n", err)
+        assert not (tmp_path / "out").exists()
 
     def test_sample_size_over_the_budget_exit_code(self, tmp_path, capsys):
         # a valid size ended in a traceback when the features were allocated
