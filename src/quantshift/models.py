@@ -74,10 +74,11 @@ class DensityRatio:
     def __call__(self, x):
         return np.exp(self.log(x))
 
-    def log(self, x):
-        """log R(x), which stays finite where R itself overflows, in one new
-        array: the product with the slope, to which the offset is added in place."""
-        log_r = self.log_slope * np.asarray(x, dtype=float)
+    def log(self, x, out: np.ndarray | None = None):
+        """log R(x), which stays finite where R itself overflows, in ``out``
+        or one new array: the product with the slope, to which the offset is
+        added in place."""
+        log_r = np.multiply(self.log_slope, np.asarray(x, dtype=float), out=out)
         log_r += self.log_offset
         return log_r
 

@@ -17,12 +17,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import NumericalFailure
+
+if TYPE_CHECKING:
+    from .models import DensityRatio
 
 
 @dataclass(frozen=True)
@@ -166,16 +169,28 @@ class PriorEquationRoot:
 
 
 _MAX_SOLVER_STEPS = 200
+# The solve reads its points in blocks of at most this many, so its two
+# scratch arrays hold this many floats whatever the measure's size.
+_SOLVE_BLOCK = 1 << 14
 
 
-def _log_sum_exp(values: np.ndarray) -> float:
-    """log(sum(exp(values))), overwriting ``values``."""
+def _peak_and_sum(values: np.ndarray) -> tuple[float, float]:
+    """The largest of ``values`` and the sum of exp(values - peak), which
+    overwrites ``values``; the sum is 0.0 where the peak is not finite."""
     peak = float(values.max())
     if not math.isfinite(peak):
-        return peak
+        return peak, 0.0
     values -= peak
     np.exp(values, out=values)
-    return peak + math.log(float(values.sum()))
+    return peak, float(values.sum())
+
+
+def _log_sum_exp(parts: list[tuple[float, float]]) -> float:
+    """log(sum(exp(values))) over blocks, from each block's :func:`_peak_and_sum`."""
+    peak = float(np.max([p for p, _ in parts]))
+    if not math.isfinite(peak):
+        return peak
+    return peak + math.log(sum(s * math.exp(p - peak) for p, s in parts))
 
 
 def _weighted_sum(values: np.ndarray, weights) -> float:
@@ -183,61 +198,87 @@ def _weighted_sum(values: np.ndarray, weights) -> float:
     return float(values.sum()) if np.ndim(weights) == 0 else float(np.dot(values, weights))
 
 
-def solve_prior_equation(log_r, weights, tol: float = 1e-12) -> PriorEquationRoot:
+def solve_prior_equation(points, ratio: DensityRatio, weights, tol: float = 1e-12) -> PriorEquationRoot:
     """Solve the likelihood equation E_w[(R - 1) / (1 + q (R - 1))] = 0 for q.
 
-    ``log_r`` holds log R at the points of a discrete measure, and
-    ``weights`` their nonnegative weights: an array of the same length, or
-    one number for equal weights.  A root in (0, 1) exists iff E_w[R] > 1
-    and E_w[1/R] > 1.  Both moments are decided by a log-sum-exp of
-    log R + log w, so neither R nor a weight has to be representable.
+    ``points`` are the points of a discrete measure, ``ratio`` gives log R
+    there, and ``weights`` are their nonnegative weights: an array of the
+    same length, or one number for equal weights.  A root in (0, 1) exists
+    iff E_w[R] > 1 and E_w[1/R] > 1.  Both moments are decided by a
+    log-sum-exp of log R + log w, so neither R nor a weight has to be
+    representable.
 
     The solve carries the smaller weight x = min(q, 1 - q), with no floor:
     where E_w[tanh(log R / 2)], half the value at q = 1/2, is positive, the
-    root lies above 1/2 and ``log_r`` is negated, as 1 - q solves the
-    equation on 1/R.  The terms 1 / (c + x), with c from
-    :func:`reciprocal_excess` and x in (0, 1/2], neither overflow nor cancel.
-    Newton steps use f'(x) = -E_w[(1 / (c + x))^2], summed as (x / (c + x))^2
-    in [0, 1].  A step that leaves the bracket, or is more than half as long
-    as the one before, gives way to a bisection of log x (squaring the top
-    while no point below the root is known), and the solve stops once a step
-    is at most ``tol`` times x.  ``log_r`` is consumed: c is computed in its
-    storage beside one scratch array.  Zero total weight raises :class:`NumericalFailure`.
+    root lies above 1/2 and log R is negated, as 1 - q solves the equation
+    on 1/R.  The terms 1 / (c + x), with c from :func:`reciprocal_excess`
+    and x in (0, 1/2], neither overflow nor cancel.  Newton steps use
+    f'(x) = -E_w[(1 / (c + x))^2], summed as (x / (c + x))^2 in [0, 1].  A
+    step that leaves the bracket, or is more than half as long as the one
+    before, gives way to a bisection of log x (squaring the top while no
+    point below the root is known), and the solve stops once a step is at
+    most ``tol`` times x.
+
+    The points are read in blocks of ``_SOLVE_BLOCK``: one pass finds both
+    moments and the side of 1/2, and each step makes one more.  A pass
+    writes a block's log R, then c, into one scratch array and its terms
+    into another, so the solve allocates nothing of its input's length and
+    leaves its input as it was.  A measure of at most one block is solved
+    with the operations of a solve over whole arrays, in the same order.
+    Weights whose total is not positive, given as an array or as one
+    number, raise :class:`NumericalFailure`.
     """
-    log_r = np.asarray(log_r, dtype=float)
-    with np.errstate(divide="ignore"):
-        log_w = np.log(weights)
-    if np.ndim(weights) == 0:
-        log_total = float(log_w) + math.log(log_r.size)
-    else:
-        total = float(np.sum(weights))
-        if not total > 0.0:
-            raise NumericalFailure(f"the measure's weights sum to {total!r}; its nodes carry no mass")
-        log_total = math.log(total)
-    g = np.add(log_w, log_r, out=np.empty_like(log_r))
-    log_moment_r = _log_sum_exp(g) - log_total
-    np.subtract(log_w, log_r, out=g)
-    log_moment_inv = _log_sum_exp(g) - log_total
+    points = np.asarray(points, dtype=float)
+    equal = np.ndim(weights) == 0
+    total = float(weights) * points.size if equal else float(np.sum(weights))
+    if not total > 0.0:
+        raise NumericalFailure(f"the measure's weights sum to {total!r}; its nodes carry no mass")
+    log_total = float(np.log(weights)) + math.log(points.size) if equal else math.log(total)
+    size = min(points.size, _SOLVE_BLOCK)
+    log_r_buffer, g_buffer = np.empty(size), np.empty(size)
+
+    def blocks():
+        """Each block's log R, a scratch array of its length, and its weights."""
+        for start in range(0, points.size, _SOLVE_BLOCK):
+            block = points[start : start + _SOLVE_BLOCK]
+            m = block.size
+            yield (
+                ratio.log(block, out=log_r_buffer[:m]),
+                g_buffer[:m],
+                weights if equal else weights[start : start + m],
+            )
+
+    moment_r, moment_inv, side = [], [], 0.0
+    for log_r, g, w in blocks():
+        with np.errstate(divide="ignore"):
+            log_w = np.log(w)
+        moment_r.append(_peak_and_sum(np.add(log_w, log_r, out=g)))
+        moment_inv.append(_peak_and_sum(np.subtract(log_w, log_r, out=g)))
+        side += _weighted_sum(np.tanh(np.multiply(log_r, 0.5, out=g), out=g), w)
+    log_moment_r = _log_sum_exp(moment_r) - log_total
+    log_moment_inv = _log_sum_exp(moment_inv) - log_total
     if not log_moment_r > 0.0:
         return PriorEquationRoot(0.0, 1.0, log_moment_r, log_moment_inv, 0)
     if not log_moment_inv > 0.0:
         return PriorEquationRoot(1.0, 0.0, log_moment_r, log_moment_inv, 0)
 
-    upper = _weighted_sum(np.tanh(np.multiply(log_r, 0.5, out=g), out=g), weights) > 0.0
-    if upper:
-        np.negative(log_r, out=log_r)
-    c = reciprocal_excess(log_r, out=log_r)
+    upper = side > 0.0
     lo, hi, x, last_step = 0.0, 0.5, 0.5, math.inf
     for steps in range(1, _MAX_SOLVER_STEPS + 1):
-        np.add(c, x, out=g)
-        np.divide(x, g, out=g)
-        value = _weighted_sum(g, weights)
+        value = slope = 0.0
+        for log_r, g, w in blocks():
+            if upper:
+                np.negative(log_r, out=log_r)
+            c = reciprocal_excess(log_r, out=log_r)
+            np.add(c, x, out=g)
+            np.divide(x, g, out=g)
+            value += _weighted_sum(g, w)
+            np.multiply(g, g, out=g)
+            slope += _weighted_sum(g, w)
         if value > 0.0:
             lo = x
         else:
             hi = x
-        np.multiply(g, g, out=g)
-        slope = _weighted_sum(g, weights)
         # where every (x g)^2 underflows, the infinite step bisects
         step = x * (value / slope) if slope else math.inf
         # a step within tol is taken as it is: x + step may round to x, the

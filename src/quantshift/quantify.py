@@ -158,10 +158,13 @@ def em_estimate(evaluator: PopulationEvaluator | SampleEvaluator, ratio: Density
     which exists iff E_Q[R] > 1 and E_Q[1/R] > 1.  When a moment condition
     fails the estimate sits at the corresponding boundary (0 or 1) and the
     status says which.  The expectation is over the evaluator's measure, and
-    :func:`~quantshift.numerics.solve_prior_equation` finds the root to 1e-10.
+    :func:`~quantshift.numerics.solve_prior_equation` finds the root to 1e-10
+    from its points, its weights and ``ratio``.  The solver reads the points
+    in blocks, so on a sample it holds two block buffers and no array of the
+    sample's size.
     """
     points, weights = evaluator.measure()
-    root = solve_prior_equation(ratio.log(points), weights, 1e-10)
+    root = solve_prior_equation(points, ratio, weights, 1e-10)
     if root.value == 0.0:
         status = EstimateStatus.BOUNDARY_LOW
     elif root.complement == 0.0:

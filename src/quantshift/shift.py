@@ -64,8 +64,8 @@ def decompose_mixture(
 
     which exists iff both E[R] > 1 and E[1/R] > 1 under h*.  The integral is
     a sum over the nodes of ``panel_edges(support, ratio)``, built once, and
-    :func:`~quantshift.numerics.solve_prior_equation` finds the root.  It
-    returns q*, 1 - q* (the smaller to full relative precision),
+    :func:`~quantshift.numerics.solve_prior_equation` finds the root from the
+    nodes, ``ratio`` and the node weights times h*.  It returns q*, 1 - q* (the smaller to full relative precision),
     h0 = h* / (q* (1 + e^-z)), h1 = h* / ((1 - q*) (1 + e^z)) (both finite
     where R overflows), z = log R + log(q* / (1 - q*)), the class-0 posterior
     log-odds of the mixture, and ``node_masses(support, ratio, h0, h1)`` on
@@ -75,7 +75,7 @@ def decompose_mixture(
         NumericalFailure: naming the moment inequality that failed.
     """
     points, weights = gauss_legendre_nodes(panel_edges(support, ratio))
-    root = solve_prior_equation(ratio.log(points), weights * h_star(points))
+    root = solve_prior_equation(points, ratio, weights * h_star(points))
     if root.log_moment_r <= math.log1p(_MOMENT_MARGIN):
         raise NumericalFailure(
             f"E[R] = {math.exp(root.log_moment_r)} under the envelope does not exceed 1; "

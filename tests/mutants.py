@@ -59,8 +59,8 @@ MUTANTS = (
     Mutant(
         "unscaled g^2 in the Newton slope",
         "src/quantshift/numerics.py",
-        "        np.multiply(g, g, out=g)\n        slope = _weighted_sum(g, weights)\n",
-        "        np.divide(g, x, out=g)\n        np.multiply(g, g, out=g)\n        slope = _weighted_sum(g, weights) * x * x\n",
+        "            np.multiply(g, g, out=g)\n            slope += _weighted_sum(g, w)\n",
+        "            np.divide(g, x, out=g)\n            np.multiply(g, g, out=g)\n            slope += _weighted_sum(g, w) * x * x\n",
         ("tests/test_numerics.py::TestPriorEquationSolver::test_roots_far_below_any_floor",),
     ),
     Mutant(
@@ -83,8 +83,8 @@ MUTANTS = (
     Mutant(
         "no negation of log R above 1/2",
         "src/quantshift/numerics.py",
-        "    if upper:\n        np.negative(log_r, out=log_r)\n",
-        "    if upper:\n        pass\n",
+        "            if upper:\n                np.negative(log_r, out=log_r)\n",
+        "            if upper:\n                pass\n",
         (
             "tests/test_numerics.py::TestPriorEquationSolver::test_agrees_with_bisection",
             "tests/test_shift.py::TestMixtureWeightOracle::test_default_weights",
@@ -100,9 +100,23 @@ MUTANTS = (
     Mutant(
         "a log-sum-exp over log R alone",
         "src/quantshift/numerics.py",
-        "    g = np.add(log_w, log_r, out=np.empty_like(log_r))\n",
-        "    g = log_r.copy()\n",
+        "        moment_r.append(_peak_and_sum(np.add(log_w, log_r, out=g)))\n",
+        "        moment_r.append(_peak_and_sum(log_r.copy()))\n",
         ("tests/test_numerics.py::TestPriorEquationSolver::test_zero_weights_at_the_peak_do_not_decide_the_moments",),
+    ),
+    Mutant(
+        "last partial block skipped",
+        "src/quantshift/numerics.py",
+        "        for start in range(0, points.size, _SOLVE_BLOCK):\n",
+        "        for start in range(0, points.size - points.size % _SOLVE_BLOCK or points.size, _SOLVE_BLOCK):\n",
+        ("tests/test_numerics.py::TestBlockedSolve::test_blocks_agree_with_the_full_array_solve",),
+    ),
+    Mutant(
+        "a block's moments use that block's own peak",
+        "src/quantshift/numerics.py",
+        "    return peak + math.log(sum(s * math.exp(p - peak) for p, s in parts))\n",
+        "    return peak + math.log(sum(s for p, s in parts))\n",
+        ("tests/test_numerics.py::TestBlockedSolve::test_blocks_agree_with_the_full_array_solve",),
     ),
     Mutant(
         "no bisection safeguard",

@@ -708,21 +708,22 @@ class TestNodeBuilds:
 
 
 class TestSampleCellMemory:
-    def test_a_cell_holds_two_arrays_of_the_sample_size(self, traced_peak):
-        # EM's log R and scratch arrays; the rate counts hold a boolean mask
+    def test_a_cell_holds_no_float_array_of_the_sample_size(self, traced_peak):
+        # EM's two block buffers (0.16 x 8n); the rate counts hold a boolean
+        # mask of n bytes (0.125 x 8n) at other times
         n = 200_000
         setup = experiment.build_setup(qs.ExperimentConfig(sample_size=n, panels=("sample",)))
         evaluator = experiment._evaluator(setup, "sample", 0, setup.test_conditionals.with_prevalence(0.3), 1)
         tpr, fpr = qs.PopulationEvaluator(setup.train).rates_by_class(setup.min_error_classifier)
         peak = traced_peak(lambda: experiment._estimates_for_cell(setup, evaluator, tpr, fpr))
-        assert peak <= 2.05 * 8 * n
+        assert peak <= 0.3 * 8 * n
 
-    def test_a_sample_run_peaks_in_its_estimates(self, traced_peak):
-        # a cell's dataset (8n feature bytes) and EM's two arrays; the
-        # metrics count in a boolean mask of n bytes
+    def test_a_sample_run_peaks_in_its_features(self, traced_peak):
+        # a cell's dataset (8n feature bytes) and EM's two block buffers;
+        # the metrics count in a boolean mask of n bytes
         n = 200_000
         config = qs.ExperimentConfig(sample_size=n, panels=("sample",), seed=3)
-        assert traced_peak(lambda: qs.run_experiment(config)) <= 3.2 * 8 * n
+        assert traced_peak(lambda: qs.run_experiment(config)) <= 1.35 * 8 * n
 
 
 class TestClassRateReads:

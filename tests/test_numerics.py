@@ -5,8 +5,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import full_array_solver
 from quantshift.errors import NumericalFailure
+from quantshift.models import DensityRatio
 from quantshift.numerics import (
+    _SOLVE_BLOCK,
     Bracket,
     _TWO_PI,
     RngStream,
@@ -24,6 +27,8 @@ from quantshift.numerics import (
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 BLOCK = 2 * 4096  # values per block of 4,096 Box-Muller pairs
+# log R = 1.0 x + 0.0 = x: the solver reads a test's log R as its points
+IDENTITY = DensityRatio(1.0, 0.0)
 
 
 def _unxorshift(y: int, shift: int) -> int:
@@ -97,7 +102,7 @@ class TestRootFinding:
         points, weights = gauss_legendre_nodes(np.linspace(0.5 - 12 * 1.8, 0.5 + 12 * 1.8, 257))
         z = (points - 0.5) / 1.4
         weights *= np.exp(-0.5 * z * z) / (1.4 * math.sqrt(2 * math.pi))
-        root = solve_prior_equation(-2.0 * points + 2.0, weights, tol=1e-10)
+        root = solve_prior_equation(points, DensityRatio(-2.0, 2.0), weights, tol=1e-10)
         assert root.value == pytest.approx(0.7239184, abs=5e-7)
 
     def test_no_sign_change_raises(self):
@@ -142,7 +147,7 @@ class TestPriorEquationSolver:
         lo, hi = 1e-12, 1.0 - 1e-12
         assume(likelihood_value(lo) > 0.0 > likelihood_value(hi))
         expected = find_root_bracketed(likelihood_value, Bracket(lo, hi), tol=1e-15)
-        root = solve_prior_equation(log_r, weights)
+        root = solve_prior_equation(log_r, IDENTITY, weights)
         assert abs(root.value - expected) <= 1e-12
         assert root.steps <= 60
 
@@ -157,11 +162,11 @@ class TestPriorEquationSolver:
         weights = np.array([w for _, w in pairs])
         # at an exact tie the root is 1/2 and neither solve negates its log R
         assume(float(np.dot(np.tanh(0.5 * log_r), weights)) != 0.0)
-        root = solve_prior_equation(log_r.copy(), weights)
+        root = solve_prior_equation(log_r, IDENTITY, weights)
         # where R = 1 up to rounding neither moment exceeds 1, and both solves
         # report the low boundary
         assume(root.log_moment_r > 0.0 or root.log_moment_inv > 0.0)
-        mirror = solve_prior_equation(-log_r, weights)
+        mirror = solve_prior_equation(-log_r, IDENTITY, weights)
         assert (mirror.value, mirror.complement) == (root.complement, root.value)
         assert (mirror.log_moment_r, mirror.log_moment_inv) == (root.log_moment_inv, root.log_moment_r)
 
@@ -173,47 +178,53 @@ class TestPriorEquationSolver:
         log_r = np.array([1000.0, -1.0])
         weights = np.array([weight, 1.0])
         expected = weight / -math.expm1(-1.0)
-        root = solve_prior_equation(log_r.copy(), weights)
+        root = solve_prior_equation(log_r, IDENTITY, weights)
         assert root.value == pytest.approx(expected, rel=1e-14, abs=0.0)
         assert root.complement == 1.0
         assert root.steps <= 30
-        mirror = solve_prior_equation(-log_r, weights)
+        mirror = solve_prior_equation(-log_r, IDENTITY, weights)
         assert (mirror.value, mirror.complement) == (root.complement, root.value)
 
     def test_equal_weights_match_explicit_weights(self):
-        # the solve consumes its log R, so each call gets its own
         log_r = np.linspace(-3.0, 2.0, 101)
-        equal = solve_prior_equation(log_r.copy(), 1.0 / len(log_r))
-        explicit = solve_prior_equation(log_r.copy(), np.full(len(log_r), 1.0 / len(log_r)))
+        equal = solve_prior_equation(log_r, IDENTITY, 1.0 / len(log_r))
+        explicit = solve_prior_equation(log_r, IDENTITY, np.full(len(log_r), 1.0 / len(log_r)))
         assert equal.value == pytest.approx(explicit.value, abs=1e-14)
         assert equal.log_moment_r == pytest.approx(explicit.log_moment_r, abs=1e-14)
 
     def test_boundary_low_when_mean_ratio_at_most_one(self):
         # E[R] = (e^-1 + e^-2 + e^0.5) / 3 = 0.72
-        root = solve_prior_equation(np.array([-1.0, -2.0, 0.5]), 1.0 / 3.0)
+        root = solve_prior_equation(np.array([-1.0, -2.0, 0.5]), IDENTITY, 1.0 / 3.0)
         assert root.value == 0.0 and root.steps == 0
         assert root.log_moment_r < 0.0 < root.log_moment_inv
 
     def test_boundary_high_when_mean_inverse_ratio_at_most_one(self):
-        root = solve_prior_equation(np.array([1.0, 2.0, -0.5]), 1.0 / 3.0)
+        root = solve_prior_equation(np.array([1.0, 2.0, -0.5]), IDENTITY, 1.0 / 3.0)
         assert root.value == 1.0 and root.steps == 0
         assert root.log_moment_inv < 0.0 < root.log_moment_r
 
     def test_constant_unit_ratio_is_boundary_low(self):
         # E[R] = E[1/R] = 1: no interior root, E[R] is checked first
-        root = solve_prior_equation(np.zeros(5), np.full(5, 0.2))
+        root = solve_prior_equation(np.zeros(5), IDENTITY, np.full(5, 0.2))
         assert root.value == 0.0 and root.log_moment_r == pytest.approx(0.0, abs=1e-15)
 
     def test_zero_weights_at_the_peak_do_not_decide_the_moments(self):
         # a node weight that underflows to 0 where log R peaks must not make
         # the log-sum-exp discard the nodes that carry the mass
-        root = solve_prior_equation(np.array([2000.0, 1.0, -1.0]), np.array([0.0, 0.5, 0.5]))
+        root = solve_prior_equation(np.array([2000.0, 1.0, -1.0]), IDENTITY, np.array([0.0, 0.5, 0.5]))
         assert root.log_moment_r == pytest.approx(math.log(math.cosh(1.0)), rel=1e-14, abs=0.0)
         assert root.value == pytest.approx(0.5, abs=1e-15)
 
-    def test_weights_summing_to_zero_raise(self):
+    @pytest.mark.parametrize("weights", [np.zeros(2), 0.0, -1.0, math.nan], ids=["zeros", "0", "-1", "nan"])
+    def test_weights_summing_to_zero_raise(self, weights):
+        # one number weighs every point alike, and must be positive as an array's sum must
         with pytest.raises(NumericalFailure, match="nodes carry no mass"):
-            solve_prior_equation(np.array([1.0, -1.0]), np.zeros(2))
+            solve_prior_equation(np.array([1.0, -1.0]), IDENTITY, weights)
+
+    def test_an_empty_measure_raises(self):
+        for weights in (np.zeros(0), 0.5):
+            with pytest.raises(NumericalFailure, match="nodes carry no mass"):
+                solve_prior_equation(np.zeros(0), IDENTITY, weights)
 
     def test_terms_stay_finite_at_extreme_log_ratios(self):
         c = reciprocal_excess(np.array([1000.0, -1000.0, 0.0]))
@@ -223,16 +234,19 @@ class TestPriorEquationSolver:
             assert terms[0] == pytest.approx(1.0 / q, rel=1e-15, abs=0.0)
             assert terms[1] == pytest.approx(-1.0 / (1.0 - q), rel=1e-15, abs=0.0)
             assert terms[2] == 0.0
-        root = solve_prior_equation(np.array([1000.0, -1000.0]), np.array([0.3, 0.7]))
+        root = solve_prior_equation(np.array([1000.0, -1000.0]), IDENTITY, np.array([0.3, 0.7]))
         assert root.log_moment_r == pytest.approx(1000.0 + math.log(0.3), rel=1e-15, abs=0.0)
         assert root.value == pytest.approx(0.3, abs=1e-15)
 
-    def test_c_is_left_in_the_given_array(self):
-        log_r = np.linspace(-3.0, 2.0, 101)
-        c = reciprocal_excess(log_r)
-        root = solve_prior_equation(log_r, 1.0 / len(log_r))
-        assert 0.0 < root.value < 1.0
-        assert np.array_equal(log_r, c)
+    @pytest.mark.parametrize("n", [101, _SOLVE_BLOCK + 1])
+    def test_leaves_its_input_as_it_was(self, n):
+        points = np.linspace(-3.0, 2.0, n)
+        weights = np.linspace(1.0, 2.0, n)
+        kept = points.copy(), weights.copy()
+        for w in (weights, 1.0 / n):
+            root = solve_prior_equation(points, IDENTITY, w)
+            assert 0.0 < root.value < 1.0
+        assert points.tobytes() == kept[0].tobytes() and weights.tobytes() == kept[1].tobytes()
 
     def test_terms_match_the_direct_form(self):
         log_r = np.linspace(-20.0, 20.0, 81)
@@ -249,6 +263,72 @@ class TestPriorEquationSolver:
         assert np.all(np.diff(points) > 0.0)
         assert float(np.dot(weights, std_normal_pdf(points))) == pytest.approx(1.0, abs=1e-14)
         assert float(np.sum(weights)) == pytest.approx(24.0, rel=1e-14, abs=0.0)
+
+
+def _root_fields(root) -> tuple:
+    return root.value, root.complement, root.log_moment_r, root.log_moment_inv
+
+
+def _binormal_features(n: int, seed: int) -> np.ndarray:
+    """n features of the default binormal model at class-0 prevalence 0.3."""
+    from quantshift.models import BinormalParams, binormal_population
+    from quantshift.sampling import stratified_sample
+
+    train = binormal_population(BinormalParams(), 0.5)
+    return stratified_sample(train.with_prevalence(0.3), n, RngStream(seed, 3)).features
+
+
+# log R = 2 - 2x, the default binormal model's ratio
+_BINORMAL_RATIO = DensityRatio(-2.0, 2.0)
+
+
+def _one_block_cases():
+    rng = np.random.default_rng(5)
+    spread = np.linspace(-3.0, 2.0, 101)
+    features = _binormal_features(_SOLVE_BLOCK, 11)
+    return {
+        "equal weights": (spread, IDENTITY, 1.0 / 101),
+        "array weights": (spread, IDENTITY, rng.uniform(0.0, 1.0, 101)),
+        "log R +-2000": (np.array([2000.0, -2000.0, 0.5, -0.3]), IDENTITY, 0.25),
+        "log R +-2000, weighted": (np.array([2000.0, -2000.0, 0.5]), IDENTITY, np.array([1e-9, 0.3, 0.7])),
+        "zero weights at the peak": (np.array([2000.0, 1.0, -1.0]), IDENTITY, np.array([0.0, 0.5, 0.5])),
+        "boundary low": (np.array([-1.0, -2.0, 0.5]), IDENTITY, 1.0 / 3.0),
+        "boundary high": (np.array([1.0, 2.0, -0.5]), IDENTITY, 1.0 / 3.0),
+        "root far below a floor": (np.array([1000.0, -1.0]), IDENTITY, np.array([1e-300, 1.0])),
+        "a full block, equal weights": (features, _BINORMAL_RATIO, 1.0 / _SOLVE_BLOCK),
+        "a full block, array weights": (features, _BINORMAL_RATIO, rng.uniform(0.0, 1.0, _SOLVE_BLOCK)),
+    }
+
+
+class TestBlockedSolve:
+    """The solver reads its points in blocks; the solve over whole arrays in
+    ``tests/full_array_solver.py`` is its reference."""
+
+    @pytest.mark.parametrize("case", list(_one_block_cases()))
+    def test_one_block_equals_the_full_array_solve_bit_for_bit(self, case):
+        points, ratio, weights = _one_block_cases()[case]
+        root = solve_prior_equation(points, ratio, weights, 1e-10)
+        expected = full_array_solver.solve_prior_equation(ratio.log(points), weights, 1e-10)
+        assert np.array(_root_fields(root)).tobytes() == np.array(_root_fields(expected)).tobytes()
+        assert root.steps == expected.steps
+
+    def test_one_block_cases_reach_both_boundaries_and_the_upper_side(self):
+        roots = [solve_prior_equation(*case) for case in _one_block_cases().values()]
+        assert {root.value for root in roots} >= {0.0, 1.0}
+        assert any(0.5 < root.value < 1.0 for root in roots)
+
+    @pytest.mark.parametrize("n", [_SOLVE_BLOCK + 1, 2 * _SOLVE_BLOCK, 3 * _SOLVE_BLOCK + 7, 200_000])
+    def test_blocks_agree_with_the_full_array_solve(self, n):
+        # the sums run in another order, so they agree to a few ulp
+        features = _binormal_features(n, n)
+        rng = np.random.default_rng(n)
+        for ratio in (_BINORMAL_RATIO, DensityRatio(2.0, -2.0)):
+            for weights in (1.0 / n, rng.uniform(0.0, 1.0, n)):
+                root = solve_prior_equation(features, ratio, weights, 1e-10)
+                expected = full_array_solver.solve_prior_equation(ratio.log(features), weights, 1e-10)
+                assert root.steps == expected.steps
+                for got, want in zip(_root_fields(root), _root_fields(expected)):
+                    assert abs(got - want) <= 8 * math.ulp(want)
 
 
 class TestQuadrature:

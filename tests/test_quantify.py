@@ -134,11 +134,12 @@ class TestEmEstimate:
         for value in (expected, est.value):
             assert round((value - 0.01) / 0.01, 4) == override
 
-    def test_sample_solve_holds_two_arrays_of_its_size(self, train, traced_peak):
-        # log R and one scratch array: c takes log R's storage
+    def test_sample_solve_holds_two_block_buffers(self, train, traced_peak):
+        # log R (then c) and the terms, each in a buffer of one block of
+        # 16,384 floats: 0.16 x 8n at n = 200,000
         n = 200_000
         evaluator = qs.SampleEvaluator(qs.stratified_sample(train.with_prevalence(0.3), n, qs.RngStream(7, 1)))
-        assert traced_peak(lambda: qs.em_estimate(evaluator, train.ratio)) <= 2.05 * 8 * n
+        assert traced_peak(lambda: qs.em_estimate(evaluator, train.ratio)) <= 0.25 * 8 * n
 
     def test_boundary_low(self, train):
         evaluator = fixed_sample_evaluator([8.0, 9.0, 10.0])  # E[R] << 1

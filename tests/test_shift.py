@@ -148,7 +148,7 @@ class TestEnvelopeMoments:
         pad = models.TRUNCATION_HALFWIDTH * sd
         envelope = lambda x: normal_pdf(x, mean, sd)
         points, weights = models.node_masses((mean - pad, mean + pad), ratio, envelope)
-        root = solve_prior_equation(ratio.log(points), weights)
+        root = solve_prior_equation(points, ratio, weights)
         a, b = ratio.log_slope, ratio.log_offset
         half_variance = 0.5 * a * a * sd * sd
         assert root.log_moment_r == pytest.approx(a * mean + b + half_variance, rel=0.0, abs=1e-14)
