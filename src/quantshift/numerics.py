@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import NumericalFailure
 
@@ -72,8 +71,20 @@ def find_root_bracketed(f: Callable[[float], float], bracket: Bracket, tol: floa
     return 0.5 * (lo + hi)
 
 
-# 15-point Gauss-Legendre rule; exact for polynomials up to degree 29.
-_GL_NODES, _GL_WEIGHTS = leggauss(15)
+# 15-point Gauss-Legendre rule; exact for polynomials up to degree 29.  The
+# nonnegative nodes and their weights are numpy's ``leggauss(15)`` values,
+# which it makes exactly symmetric; mirroring them gives its arrays bit for
+# bit without importing numpy.polynomial.
+_GL_HALF_NODES = np.array([
+    0.0, 0.20119409399743451, 0.3941513470775634, 0.5709721726085388,
+    0.7244177313601701, 0.8482065834104272, 0.9372733924007058, 0.9879925180204854,
+])
+_GL_HALF_WEIGHTS = np.array([
+    0.2025782419255613, 0.1984314853271116, 0.1861610000155622, 0.16626920581699398,
+    0.13957067792615444, 0.10715922046717141, 0.0703660474881084, 0.030753241996117203,
+])
+_GL_NODES = np.concatenate((-_GL_HALF_NODES[:0:-1], _GL_HALF_NODES))
+_GL_WEIGHTS = np.concatenate((_GL_HALF_WEIGHTS[:0:-1], _GL_HALF_WEIGHTS))
 _MAX_DEPTH = 48
 _INITIAL_PANELS = 16
 

@@ -157,7 +157,7 @@ class TestPanelEdges:
             "import sys\n"
             "from quantshift.experiment import ExperimentConfig, build_setup\n"
             "build_setup(ExperimentConfig(scenario='invariant_ratio')).test_conditionals.nodes()\n"
-            "print('numpy.ma' in sys.modules)\n"
+            "print('numpy.ma' in sys.modules, 'numpy.polynomial' in sys.modules)\n"
         )
         src = str(Path(qs.__file__).resolve().parents[1])
         done = subprocess.run(
@@ -168,7 +168,7 @@ class TestPanelEdges:
             timeout=60,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout == "False\n"
+        assert done.stdout == "False False\n"
 
 
 class TestValidation:

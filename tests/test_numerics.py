@@ -9,6 +9,8 @@ import full_array_solver
 from quantshift.errors import NumericalFailure
 from quantshift.models import DensityRatio
 from quantshift.numerics import (
+    _GL_NODES,
+    _GL_WEIGHTS,
     _SOLVE_BLOCK,
     Bracket,
     _TWO_PI,
@@ -332,6 +334,13 @@ class TestBlockedSolve:
 
 
 class TestQuadrature:
+    def test_rule_is_numpy_leggauss_bit_for_bit(self):
+        from numpy.polynomial.legendre import leggauss
+
+        nodes, weights = leggauss(15)
+        assert _GL_NODES.tobytes() == nodes.tobytes()
+        assert _GL_WEIGHTS.tobytes() == weights.tobytes()
+
     def test_normal_density_normalizes(self):
         assert integrate_interval(std_normal_pdf, -12.0, 12.0) == pytest.approx(1.0, abs=1e-12)
 
