@@ -65,11 +65,11 @@ def decompose_mixture(
     which exists iff both E[R] > 1 and E[1/R] > 1 under h*.  The integral is
     a sum over the nodes of ``panel_edges(support, ratio)``, built once, and
     :func:`~quantshift.numerics.solve_prior_equation` finds the root from the
-    nodes, ``ratio`` and the node weights times h*.  It returns q*, 1 - q* (the smaller to full relative precision),
-    h0 = h* / (q* (1 + e^-z)), h1 = h* / ((1 - q*) (1 + e^z)) (both finite
-    where R overflows), z = log R + log(q* / (1 - q*)), the class-0 posterior
-    log-odds of the mixture, and ``node_masses(support, ratio, h0, h1)`` on
-    those nodes.
+    nodes, ``ratio`` and the node weights times h*.  It returns q*, 1 - q*
+    (the smaller to full relative precision), h0 = h* / (q* (1 + e^-z)),
+    h1 = h* / ((1 - q*) (1 + e^z)) (both finite where R overflows),
+    z = log R + log(q* / (1 - q*)), the class-0 posterior log-odds of the
+    mixture, and ``node_masses(support, ratio, h0, h1)`` on those nodes.
 
     Raises:
         NumericalFailure: naming the moment inequality that failed.

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import full_array_solver
 from quantshift.errors import NumericalFailure
-from quantshift.models import DensityRatio
+from quantshift.models import BinormalParams, DensityRatio, binormal_population
 from quantshift.numerics import (
     _GL_NODES,
     _GL_WEIGHTS,
@@ -24,6 +24,7 @@ from quantshift.numerics import (
     reciprocal_excess,
     solve_prior_equation,
 )
+from quantshift.sampling import stratified_sample
 
 
 _MASK64 = (1 << 64) - 1
@@ -273,9 +274,6 @@ def _root_fields(root) -> tuple:
 
 def _binormal_features(n: int, seed: int) -> np.ndarray:
     """n features of the default binormal model at class-0 prevalence 0.3."""
-    from quantshift.models import BinormalParams, binormal_population
-    from quantshift.sampling import stratified_sample
-
     train = binormal_population(BinormalParams(), 0.5)
     return stratified_sample(train.with_prevalence(0.3), n, RngStream(seed, 3)).features
 
