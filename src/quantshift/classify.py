@@ -7,8 +7,8 @@ Every density ratio in scope is strictly monotone, so that set is a
 half-line and classifiers reduce to a feature-space cut point.
 The rate of class-0 decisions is then a CDF evaluation at the cut: exact for
 a population model (:meth:`ThresholdClassifier.rate_class0`), and a count of
-the features on the class-0 side for a sample
-(:meth:`ThresholdClassifier.count_class0`).
+the features on the class-0 side (:meth:`ThresholdClassifier.decides_class0`)
+for a sample.
 """
 
 from __future__ import annotations
@@ -46,11 +46,6 @@ class ThresholdClassifier:
         which must be exactly 0 at -inf and 1 at +inf, as every CDF here is."""
         mass_below = cdf(self.cut)
         return mass_below if self.class0_below else 1.0 - mass_below
-
-    def count_class0(self, x: np.ndarray) -> int:
-        """Number of class-0 decisions among the features ``x``, in any order;
-        divided by ``len(x)``, bit for bit the mean of ``predict(x) == 0``."""
-        return int(np.count_nonzero(self.decides_class0(x)))
 
 
 ALWAYS_CLASS_0 = ThresholdClassifier(cut=math.inf)

@@ -141,7 +141,8 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse a flat ``key = value`` document ('#' starts a comment).
 
     Unspecified keys keep their defaults.  Raises :class:`ConfigError` naming
-    the offending line for unknown keys, bad values, or invariant violations.
+    the offending line for unknown or repeated keys (an alias repeats the key
+    it names), bad values, or invariant violations.
     """
     values: dict = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -156,6 +157,8 @@ def parse_config(text: str) -> ExperimentConfig:
         value = value.strip()
         if key not in _DEFAULTS:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"line {line_no}: {key!r} is already set")
         try:
             values[key] = _parse_value(_DEFAULTS[key], value)
         except ValueError as exc:

@@ -429,32 +429,32 @@ class RngStream:
     def gaussians(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
         """The next ``n`` gaussians, identical to ``n`` calls of :meth:`next_gaussian`.
 
-        The stream is left in the same state, pending spare included.  The
-        values are written to ``out`` (a float array of length ``n``) when
-        it is given, and returned.
+        A pending spare is the first value.  The stream is left as those calls
+        leave it, pending spare included; the values are written to ``out``
+        (a float array of length ``n``) when it is given, and returned.
         """
         out = np.empty(n) if out is None else out
-        start = 0
+        filled = 0
         if n and self._spare_gaussian is not None:
-            out[0] = self.next_gaussian()
-            start = 1
-        for block in range(start, n, 2 * _BLOCK_PAIRS):
-            stop = min(n, block + 2 * _BLOCK_PAIRS)
-            out[block:stop] = self._gaussian_block(stop - block)
+            out[0], self._spare_gaussian = self._spare_gaussian, None
+            filled = 1
+        while filled < n:
+            filled += self._gaussian_block(out[filled : filled + 2 * _BLOCK_PAIRS])
         return out
 
-    def _gaussian_block(self, count: int) -> np.ndarray:
-        # called with no spare pending; an odd count leaves one
-        pairs = (count + 1) // 2
-        state = self._state
-        u = self._uniform_block(2 * pairs)
-        u1, u2 = u[0::2], u[1::2]
-        if not u1.all():
-            # the scalar loop redraws a zero u1, which shifts the pairing
-            self._state = state
-            return np.array([self.next_gaussian() for _ in range(count)])
-        values = np.empty(2 * pairs)
-        values[0::2], values[1::2] = _box_muller(u1, u2)
+    def _gaussian_block(self, out: np.ndarray) -> int:
+        # fill a prefix of out and return its length; called with no spare
+        # pending, an odd length leaves one.  The scalar loop redraws a zero
+        # u1, which shifts the pairing: stop before that pair and skip its word
+        count = len(out)
+        u = self._uniform_block(count + count % 2)
+        zeros = np.flatnonzero(u[0::2] == 0.0)
+        if zeros.size:
+            count = 2 * int(zeros[0])
+            self._advance(count + 1 - len(u))
+            u = u[:count]
+        cos_part, sin_part = _box_muller(u[0::2], u[1::2])
+        out[:count:2], out[1:count:2] = cos_part, sin_part[: count // 2]
         if count % 2:
-            self._spare_gaussian = float(values[-1])
-        return values[:count]
+            self._spare_gaussian = float(sin_part[-1])
+        return count

@@ -89,8 +89,8 @@ class PopulationEvaluator:
 class SampleEvaluator:
     """Empirical evaluation over the features of a test sample.
 
-    A rate is a count of class-0 decisions in one pass over the features
-    (:meth:`~quantshift.classify.ThresholdClassifier.count_class0`), divided
+    A rate is the count of a classifier's class-0 decision mask
+    (:meth:`~quantshift.classify.ThresholdClassifier.decides_class0`), divided
     by the number counted.  The quantification surface
     (``predict_positive_rate``, ``measure``, ``expect``) reads features only.
     The class queries of the evaluation metrics read the class-0 count n0:
@@ -103,7 +103,7 @@ class SampleEvaluator:
         self._features = np.asarray(dataset.features, dtype=float)
 
     def predict_positive_rate(self, clf: ThresholdClassifier) -> float:
-        return clf.count_class0(self._features) / len(self._features)
+        return np.count_nonzero(clf.decides_class0(self._features)) / len(self._features)
 
     def measure(self) -> tuple[np.ndarray, float]:
         """The features, each with weight 1/n."""

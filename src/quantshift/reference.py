@@ -154,13 +154,17 @@ def _reference_tables():
 
 
 def _max_gap(table, expected: dict, overrides: dict) -> float:
-    """Largest |got - want| over the cells that both sides define."""
+    """Largest |got - want| over the reference's cells; a cell the table
+    lacks, or NaN on one side only, is an infinite gap."""
     worst = 0.0
-    for label in table.row_labels:
-        for j, (got, want) in enumerate(zip(table.row(label), expected[label])):
+    for label, wants in expected.items():
+        row = table.row(label) if label in table.row_labels else ()
+        for j, want in enumerate(wants):
             want = overrides.get((table.scenario, label, j), want)
-            if not (math.isnan(got) or math.isnan(want)):
-                worst = max(worst, abs(got - want))
+            got = row[j] if j < len(row) else math.inf
+            if math.isnan(got) != math.isnan(want):
+                return math.inf
+            worst = max(worst, 0.0 if math.isnan(want) else abs(got - want))
     return worst
 
 

@@ -77,18 +77,18 @@ def rejection_draw(accept: Density, candidate_sampler: Callable[[RngStream], flo
 class RejectionSampler:
     """Accept-reject draws that keep candidate proposal x with probability ``accept(x)``.
 
-    A target f under the envelope M h of the candidate density h, where M is
-    ``envelope_constant`` (it sizes the blocks and the proposal budget), takes
-    accept(x) = f(x) / (M h(x)).  ``draw`` gives exactly the values, and leaves
-    the stream exactly where, ``n`` calls of :func:`rejection_draw` would; it
+    A target f under the envelope M h of the normal candidate density h,
+    where M is ``envelope_constant`` (it sizes the blocks and the proposal
+    budget), takes accept(x) = f(x) / (M h(x)).  ``draw`` gives exactly the
+    values, and leaves the stream exactly where, ``n`` calls of
+    ``rejection_draw(accept, candidate_sampler, stream)`` would: in numpy
+    blocks of proposals, with one such call where a spare is pending.  It
     raises :class:`NumericalFailure` before it draws if ``n`` M exceeds
-    ``_MAX_EXPECTED_PROPOSALS``.  A
-    :class:`~quantshift.models.NormalSampler` candidate is evaluated in numpy
-    blocks of proposals; any other candidate is called once per proposal.
+    ``_MAX_EXPECTED_PROPOSALS``.
     """
 
     accept: Density
-    candidate_sampler: Callable[[RngStream], float]
+    candidate_sampler: NormalSampler
     envelope_constant: float
 
     def draw(self, stream: RngStream, n: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -96,18 +96,13 @@ class RejectionSampler:
         if expected > _MAX_EXPECTED_PROPOSALS:
             raise NumericalFailure(f"{n} accept-reject draws expect {expected:.3g} proposals")
         out = np.empty(n) if out is None else out
-        blocks = isinstance(self.candidate_sampler, NormalSampler)
         filled = 0
         while filled < n:
-            if blocks and stream._spare_gaussian is None:
-                state = stream._state
+            if stream._spare_gaussian is None:
                 filled += self._draw_block(stream, out[filled:])
-                if stream._state != state:
-                    # the block drew words, with or without acceptances
-                    continue
-            # a pending spare, or a zero u1 at the first pair of a block
-            out[filled] = rejection_draw(self.accept, self.candidate_sampler, stream)
-            filled += 1
+            else:
+                out[filled] = rejection_draw(self.accept, self.candidate_sampler, stream)
+                filled += 1
         return out
 
     def _draw_block(self, stream: RngStream, out: np.ndarray) -> int:
@@ -118,6 +113,9 @@ class RejectionSampler:
         even proposal is the Box-Muller cosine draw and the odd one its sine
         spare.  The block draws whole pairs, keeps the first acceptances and
         puts the stream just after the last word the scalar loop would use.
+        The scalar loop redraws a zero u1, which shifts the pattern: the
+        block stops before that pair and, short of ``len(out)`` acceptances,
+        steps past its word as the redraw does.
         """
         need = len(out)
         # one acceptance per M proposals on average; the margin makes a
@@ -127,8 +125,6 @@ class RejectionSampler:
         words = stream._uniform_block(drawn).reshape(pairs, 4)
         zeros = np.flatnonzero(words[:, 0] == 0.0)
         if zeros.size:
-            # the scalar loop redraws a zero u1, which shifts the pattern;
-            # stop the block before that pair
             pairs = int(zeros[0])
             words = words[:pairs]
         normals = np.empty((pairs, 2))
@@ -141,7 +137,8 @@ class RejectionSampler:
         # the scalar loop stops after the last proposal used and its accept
         # word; after an even proposal the sine spare is pending
         pair, odd = divmod(last, 2)
-        stream._advance(4 * pair + 3 + odd - drawn)
+        skipped = int(len(accepted) < need and zeros.size > 0)
+        stream._advance(4 * pair + 3 + odd + skipped - drawn)
         stream._spare_gaussian = None if odd else float(normals[pair, 1])
         out[: len(accepted)] = x[accepted]
         return len(accepted)

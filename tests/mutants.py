@@ -155,7 +155,23 @@ MUTANTS = (
         "src/quantshift/sampling.py",
         "        if zeros.size:\n",
         "        if False:\n",
-        ("tests/test_sampling.py::TestRejectionSamplerBlocks::test_zero_u1_falls_back_to_scalar_loop",),
+        ("tests/test_sampling.py::TestRejectionSamplerBlocks::test_zero_u1_is_skipped_in_the_block",),
+    ),
+    Mutant(
+        "accept-reject block keeps the zero word",
+        "src/quantshift/sampling.py",
+        "        skipped = int(len(accepted) < need and zeros.size > 0)\n",
+        "        skipped = 0\n",
+        # the next block then starts on the zero u1 and draws nothing; the
+        # test's 5 s deadline fails it
+        ("tests/test_sampling.py::TestRejectionSamplerBlocks::test_zero_u1_is_skipped_in_the_block",),
+    ),
+    Mutant(
+        "gaussian block keeps the zero word",
+        "src/quantshift/numerics.py",
+        "            self._advance(count + 1 - len(u))\n",
+        "            self._advance(count - len(u))\n",
+        ("tests/test_numerics.py::TestRngStreamBlocks::test_zero_u1_is_skipped_in_the_block",),
     ),
     Mutant(
         "no spare kept by the block sampler",
@@ -170,15 +186,15 @@ MUTANTS = (
     Mutant(
         "wrong accept-word count",
         "src/quantshift/sampling.py",
-        "stream._advance(4 * pair + 3 + odd - drawn)",
-        "stream._advance(4 * pair + 2 + odd - drawn)",
+        "stream._advance(4 * pair + 3 + odd + skipped - drawn)",
+        "stream._advance(4 * pair + 2 + odd + skipped - drawn)",
         ("tests/test_sampling.py::TestRejectionSamplerBlocks::test_blocks_without_acceptances",),
     ),
     Mutant(
         "a label read in the label-blind path",
         "src/quantshift/quantify.py",
-        "        return clf.count_class0(self._features) / len(self._features)\n",
-        "        return clf.count_class0(self._features) / (self.dataset.n0 + len(self._features[self.dataset.n0 :]))\n",
+        "        return np.count_nonzero(clf.decides_class0(self._features)) / len(self._features)\n",
+        "        return np.count_nonzero(clf.decides_class0(self._features)) / (self.dataset.n0 + len(self._features[self.dataset.n0 :]))\n",
         ("tests/test_quantify.py::TestSampleEvaluator::test_quantifiers_never_read_labels",),
     ),
     Mutant(

@@ -160,9 +160,10 @@ class TestCountClass0:
     @example((_WITH_NAN, qs.ThresholdClassifier(cut=1.0)))
     @example((_WITH_NAN, qs.ThresholdClassifier(cut=1.0, class0_below=False)))
     def test_count_is_the_mean_of_predictions(self, case):
-        # in any order: as drawn, and sorted
+        # a sample's rate counts the class-0 decision mask over its
+        # features, in any order: as drawn, and sorted
         x, clf = case
         for features in (x, np.sort(x)):
-            count = clf.count_class0(features)
-            assert count == np.count_nonzero(clf.predict(x) == 0)
-            assert count / len(x) == np.mean(clf.predict(x) == 0)
+            assert np.count_nonzero(clf.decides_class0(features)) == np.count_nonzero(clf.predict(x) == 0)
+            rate = qs.SampleEvaluator(qs.LabeledDataset(features, 0)).predict_positive_rate(clf)
+            assert rate == np.mean(clf.predict(x) == 0)

@@ -113,6 +113,19 @@ class TestParseConfig:
         with pytest.raises(qs.ConfigError, match=f"invalid configuration: {key} must be finite"):
             qs.parse_config(text)
 
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            pytest.param("sigma = 1\n# again\nsigma = 0.5", "sigma", id="plain repeat"),
+            pytest.param("theta = 1\n# again\nenvelope_mean = 2", "envelope_mean", id="alias then name"),
+            pytest.param("envelope_sd = 1\n# again\ntau = 2", "envelope_sd", id="name then alias"),
+        ],
+    )
+    def test_repeated_key_names_the_later_line(self, text, key):
+        # an alias and the name it stands for are one key
+        with pytest.raises(qs.ConfigError, match=f"^line 3: '{key}' is already set$"):
+            qs.parse_config(text)
+
     def test_replace_validates(self):
         with pytest.raises(qs.ConfigError, match="sigma"):
             dataclasses.replace(qs.ExperimentConfig(), sigma=-1)
@@ -515,6 +528,14 @@ class TestCli:
         assert err.startswith(f"configuration error: cannot write {blocker}")
         assert "Traceback" not in err
 
+    def test_repeated_key_exits_1_before_any_output(self, tmp_path, capsys):
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text("theta = 1\nenvelope_mean = 2\n")
+        outdir = tmp_path / "out"
+        assert main(["run", str(config_path), "--outdir", str(outdir)]) == 1
+        assert capsys.readouterr().err == "configuration error: line 2: 'envelope_mean' is already set\n"
+        assert not outdir.exists()
+
     def test_numerical_failure_exit_code(self, tmp_path):
         # an envelope far on the class-1 side admits no interior mixture weight
         config_path = tmp_path / "exp.cfg"
@@ -674,6 +695,53 @@ class TestCli:
         main(["run", str(config_path), "--outdir", str(out2)])
         for name in ("prior_shift_prevalence_sample_full.csv", "prior_shift_prevalence_population_full.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def _reference_results(scenario: str, metric: str, label: str, fault) -> list[ResultTable]:
+    """The reference's own tables as population results (overrides applied),
+    with the row ``label`` of one table dropped (``fault`` None) or replaced
+    by ``fault(row)``."""
+    tables = []
+    for table_scenario, table_metric, expected in reference._reference_tables():
+        overrides = reference.GROUND_TRUTH_OVERRIDES if table_metric == "relative_error" else {}
+        rows = {
+            row_label: [overrides.get((table_scenario, row_label, j), v) for j, v in enumerate(row)]
+            for row_label, row in expected.items()
+        }
+        if (table_scenario, table_metric) == (scenario, metric):
+            if fault is None:
+                del rows[label]
+            else:
+                rows[label] = fault(rows[label])
+        cells = tuple(tuple(row) for row in rows.values())
+        tables.append(ResultTable("", table_scenario, table_metric, "population", (), tuple(rows), cells))
+    return tables
+
+
+class TestReferenceCheck:
+    @pytest.mark.parametrize(
+        "scenario,metric,label,fault,failing",
+        [
+            # the reference itself passes, its two NaN F-measure cells included
+            pytest.param("prior_shift", "f_measure", "CDEinf", list, None, id="the reference"),
+            pytest.param(
+                "prior_shift", "prevalence", "EM", lambda row: [math.nan, *row[1:]], "prevalence table (prior_shift)",
+                id="one-sided NaN",
+            ),
+            pytest.param(
+                "sqrt_ratio", "relative_error", "CDE2", lambda row: row[:-1], "relative error table (sqrt_ratio)",
+                id="short row",
+            ),
+            pytest.param(
+                "invariant_ratio", "prevalence", "ACC", None, "prevalence table (invariant_ratio)", id="missing row"
+            ),
+        ],
+    )
+    def test_a_missing_or_undefined_cell_fails_its_table(self, scenario, metric, label, fault, failing):
+        tables = _reference_results(scenario, metric, label, fault)
+        checks = reference.check(tables, reference.MIXTURE_WEIGHTS)
+        assert len(checks) == len(VERIFY_OUTPUT.splitlines())
+        assert [(c.name, c.detail) for c in checks if not c.ok] == ([(failing, "max gap inf")] if failing else [])
 
 
 def _results_json(**fields) -> str:

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import full_array_solver
+from conftest import deadline
 from quantshift.errors import NumericalFailure
 from quantshift.models import BinormalParams, DensityRatio, binormal_population
 from quantshift.numerics import (
@@ -445,13 +446,26 @@ class TestRngStreamBlocks:
         _assert_block_matches_scalar(lambda: _stream(seed, stream_id, pending_spare), n)
 
     @pytest.mark.parametrize("pending_spare", [False, True])
-    def test_zero_u1_falls_back_to_scalar_loop(self, pending_spare):
+    @pytest.mark.parametrize(
+        "pair,count",
+        [
+            pytest.param(BLOCK // 2 + 100, 3 * BLOCK + 1, id="pair 100 of the second block"),
+            pytest.param(0, 3 * BLOCK + 1, id="pair 0 of the first block"),
+            pytest.param(BLOCK // 2, 3 * BLOCK + 1, id="pair 0 of the second block"),
+            pytest.param(BLOCK // 2 + 100, BLOCK + 201, id="last pair of an odd count"),
+        ],
+    )
+    def test_zero_u1_is_skipped_in_the_block(self, pending_spare, pair, count):
         # a word below 2**11 is the uniform 0.0; put one at the u1 slot of
-        # pair 100 of the second block
-        offset = 2 * (BLOCK // 2 + 100)
+        # the given pair of the gaussians that follow any pending spare.  The
+        # block stops before that pair and the next one starts past its word.
+        offset = 2 * pair
         state = (_unmix64(1234) - (offset + 1) * _GOLDEN) & _MASK64
         assert _stream(0, state=state).uniforms(offset + 1)[-1] == 0.0
-        _assert_block_matches_scalar(lambda: _stream(0, 0, pending_spare, state), 3 * BLOCK + 1)
+        # a block that keeps the zero word draws no value from then on;
+        # fail instead of hanging
+        with deadline(5.0):
+            _assert_block_matches_scalar(lambda: _stream(0, 0, pending_spare, state), count + pending_spare)
 
     def test_numpy_cos_sin_equal_libm_on_box_muller_angles(self):
         # the block path takes cos/sin from numpy and the scalar path from

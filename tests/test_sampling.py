@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quantshift as qs
+from quantshift import sampling
 from quantshift.models import NormalSampler, normal_pdf
 from quantshift.numerics import _BLOCK_PAIRS
-from quantshift.sampling import RejectionSampler
+from quantshift.sampling import RejectionSampler, rejection_draw
 from conftest import deadline
 from test_numerics import _GOLDEN, _MASK64, _stream, _unmix64
 
@@ -94,16 +95,12 @@ class TestStratifiedSample:
 class TestAcceptReject:
     def test_identical_target_accepts_everything(self):
         # target = candidate density at M = 1: accept(x) = f(x) / (M h(x)) = 1
-        proposals = 0
-
-        def candidate_sampler(stream):
-            nonlocal proposals
-            proposals += 1
-            return stream.next_gaussian()
-
-        draws = RejectionSampler(lambda x: 1.0, candidate_sampler, 1.0).draw(qs.RngStream(3, 0), 2000)
+        stream = qs.RngStream(3, 0)
+        draws = RejectionSampler(lambda x: 1.0, NormalSampler(0.0, 1.0), 1.0).draw(stream, 2000)
         assert len(draws) == 2000
-        assert proposals == 2000
+        # two words per proposal (half a Box-Muller pair and its accept
+        # word): 2,000 proposals
+        assert stream.words_drawn == 4000
 
     def test_acceptance_rate_matches_envelope_constant(self, train, invariant_test):
         # class-0 conditional of the invariant scenario under its tight
@@ -173,15 +170,14 @@ class TestAcceptReject:
 
     def test_count_validation(self):
         with pytest.raises(ValueError):
-            RejectionSampler(lambda x: x, lambda s: 0.0, 1.0).draw(qs.RngStream(1, 0), -1)
+            RejectionSampler(lambda x: x, NormalSampler(0.0, 1.0), 1.0).draw(qs.RngStream(1, 0), -1)
 
     @pytest.mark.parametrize("block", [True, False])
     def test_proposal_budget_raises_before_drawing(self, block):
         # 101 draws at M = 1e10 expect 1.01e12 proposals, over the 1e12 bound
+        # without a block, a pending spare takes one scalar rejection_draw step
         sampler = RejectionSampler(lambda x: 1e-10, NormalSampler(0.0, 1.0), 1e10)
-        if not block:
-            sampler = _scalar_twin(sampler)
-        stream = qs.RngStream(1, 0)
+        stream = _stream(1, 0, pending_spare=not block)
         stream.next_uniform()
         with pytest.raises(qs.NumericalFailure, match="101 accept-reject draws expect 1.01e\\+12 proposals"):
             with deadline(5.0):
@@ -198,16 +194,16 @@ class TestAcceptReject:
         assert np.all(np.isfinite(draws))
 
 
-def _scalar_twin(sampler: RejectionSampler) -> RejectionSampler:
-    """The same sampler with a plain-callable candidate, which takes the scalar loop."""
-    mean, sd = sampler.candidate_sampler.mean, sampler.candidate_sampler.sd
-    return replace(sampler, candidate_sampler=lambda s: mean + sd * s.next_gaussian())
+def _scalar_draws(sampler: RejectionSampler, stream, n: int) -> np.ndarray:
+    """The reference for ``sampler.draw``: ``n`` calls of :func:`rejection_draw`."""
+    draws = [rejection_draw(sampler.accept, sampler.candidate_sampler, stream) for _ in range(n)]
+    return np.array(draws, dtype=float)
 
 
 def _assert_block_matches_scalar(sampler: RejectionSampler, make_stream, n: int) -> None:
     block, scalar = make_stream(), make_stream()
     got = sampler.draw(block, n)
-    expected = _scalar_twin(sampler).draw(scalar, n)
+    expected = _scalar_draws(sampler, scalar, n)
     assert got.tobytes() == expected.tobytes()
     assert block._state == scalar._state
     assert block._spare_gaussian == scalar._spare_gaussian
@@ -244,16 +240,51 @@ class TestRejectionSamplerBlocks:
         _assert_block_matches_scalar(faint, lambda: _stream(seed), 5)
 
     @pytest.mark.parametrize("pending_spare", [False, True])
-    def test_zero_u1_falls_back_to_scalar_loop(self, invariant_test, pending_spare):
+    @pytest.mark.parametrize("pair", [100, 0])
+    def test_zero_u1_is_skipped_in_the_block(self, invariant_test, pending_spare, pair):
         # a word below 2**11 is the uniform 0.0; put one at the u1 slot of
-        # pair 100 (word 400)
-        offset = 4 * 100
+        # the given pair of the first block.  A pending spare is kept with
+        # its accept word, word 0, so the block starts at word 1.
+        sampler = invariant_test.sampler0
+        offset = 4 * pair + pending_spare
         state = (_unmix64(1234) - (offset + 1) * _GOLDEN) & _MASK64
         assert _stream(0, state=state).uniforms(offset + 1)[-1] == 0.0
+        if pending_spare:
+            stream = _stream(0, 0, True, state)
+            words = stream.words_drawn
+            rejection_draw(sampler.accept, sampler.candidate_sampler, stream)
+            assert stream.words_drawn - words == 1 and stream._spare_gaussian is None
         # a sampler that keeps drawing after a block without progress loops
         # forever; fail instead of hanging
         with deadline(5.0):
-            _assert_block_matches_scalar(invariant_test.sampler0, lambda: _stream(0, 0, pending_spare, state), 500)
+            _assert_block_matches_scalar(sampler, lambda: _stream(0, 0, pending_spare, state), 500)
+
+    def test_a_zero_u1_needs_no_scalar_call(self, invariant_test, monkeypatch):
+        # with no spare pending, the block paths skip a zero u1 themselves: a
+        # zero at the first u1 of a block reaches neither the scalar stream
+        # methods nor rejection_draw
+        sampler = invariant_test.sampler0
+        zero_first = (_unmix64(1234) - _GOLDEN) & _MASK64
+        # (scalar reference, block draw) for the gaussians and a derived sampler
+        cases = [
+            (lambda s: np.array([s.next_gaussian() for _ in range(501)]), lambda s: s.gaussians(501)),
+            (lambda s: _scalar_draws(sampler, s, 500), lambda s: sampler.draw(s, 500)),
+        ]
+        references = [_stream(0, state=zero_first) for _ in cases]
+        expected = [scalar(stream) for (scalar, _), stream in zip(cases, references)]
+
+        def scalar_call(*args):
+            raise AssertionError("a block path made a scalar call")
+
+        monkeypatch.setattr(qs.RngStream, "next_gaussian", scalar_call)
+        monkeypatch.setattr(qs.RngStream, "next_uniform", scalar_call)
+        monkeypatch.setattr(sampling, "rejection_draw", scalar_call)
+        for (_, block), want, reference in zip(cases, expected, references):
+            stream = _stream(0, state=zero_first)
+            with deadline(5.0):
+                got = block(stream)
+            assert got.tobytes() == want.tobytes()
+            assert (stream._state, stream._spare_gaussian) == (reference._state, reference._spare_gaussian)
 
 
 class TestNormalSampler:
